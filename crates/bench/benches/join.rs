@@ -49,9 +49,6 @@ fn bench_join(c: &mut Criterion) {
     group.bench_function("simj_parallel_4", |b| {
         b.iter(|| uqsj::simjoin::sim_join_parallel(&table, &d, &u, JoinParams::simj(2, 0.5), 4))
     });
-    group.bench_function("simj_indexed", |b| {
-        b.iter(|| uqsj::simjoin::sim_join_indexed(&table, &d, &u, JoinParams::simj(2, 0.5)))
-    });
     group.bench_function("topk_1", |b| {
         b.iter(|| uqsj::simjoin::sim_join_topk(&table, &d, &u, 2, 1))
     });
@@ -336,6 +333,77 @@ fn cascade_showdown_json() -> String {
     )
 }
 
+/// Template mining on a WebQ-like workload (600 questions, 1,200
+/// distractor queries; SimJ τ = 1, α = 0.5): the join's pair accounting,
+/// the best-of-3 `generate_templates` time, and the best-of-3 time to
+/// insert the run's generated templates into a fresh library. Returns
+/// the `mining` JSON object embedded in `BENCH_join.json`.
+fn mining_json() -> String {
+    let dataset = uqsj::workload::webq_like(&uqsj::workload::DatasetConfig {
+        questions: 600,
+        distractors: 1200,
+        seed: 3,
+        ..Default::default()
+    });
+    let params = JoinParams::simj(1, 0.5);
+    let mut generate = Duration::MAX;
+    let mut result: Option<uqsj::pipeline::PipelineResult> = None;
+    for _ in 0..3 {
+        let s = Instant::now();
+        let r = uqsj::pipeline::generate_templates(&dataset, params);
+        generate = generate.min(s.elapsed());
+        if let Some(prev) = &result {
+            assert_eq!(prev.matches, r.matches, "mining is not deterministic");
+        }
+        result = Some(r);
+    }
+    let result = result.expect("three mining runs");
+    let generated: Vec<Template> = result
+        .matches
+        .iter()
+        .filter_map(|m| {
+            uqsj::template::generate_template(&uqsj::template::TemplateSource {
+                analysis: &dataset.analyses[m.g_index],
+                query: &dataset.d_queries[m.q_index],
+                query_terms: &dataset.d_terms[m.q_index],
+                mapping: &m.mapping,
+                confidence: m.prob,
+            })
+        })
+        .collect();
+    let mut add = Duration::MAX;
+    for _ in 0..3 {
+        let batch = generated.clone();
+        let mut library = TemplateLibrary::new();
+        let s = Instant::now();
+        for t in batch {
+            library.add(t);
+        }
+        add = add.min(s.elapsed());
+        assert_eq!(library.len(), result.library.len(), "library size diverged");
+    }
+    let stats = &result.stats;
+    let skipped = stats.cascade.as_ref().map_or(0, |r| r.pairs_skipped);
+    eprintln!(
+        "mining: {} pairs ({skipped} skipped by the size index), {} matches, {} templates, \
+         generate {generate:?}, library add {add:?}",
+        stats.pairs_total,
+        result.matches.len(),
+        result.library.len()
+    );
+    format!(
+        "{{\n    \"bench\": \"webq_like_600x1200\",\n    \"tau\": 1,\n    \"alpha\": 0.5,\n    \
+         \"pairs_total\": {pairs},\n    \"size_index_skipped\": {skipped},\n    \
+         \"matches\": {matches},\n    \"templates\": {templates},\n    \
+         \"generate_ms\": {gen:.2},\n    \"library_add_ms\": {add:.3}\n  }}",
+        pairs = stats.pairs_total,
+        matches = result.matches.len(),
+        templates = result.library.len(),
+        gen = generate.as_secs_f64() * 1e3,
+        add = add.as_secs_f64() * 1e3,
+    )
+}
+
 /// Reference-vs-lftj showdown on the cyclic/star/path families over one
 /// hub-skewed synthetic KB: alternate the two evaluators (min-of-4 each
 /// absorbs scheduler noise), prove the solution sets identical, and
@@ -507,6 +575,7 @@ fn emit_join_json() {
     let crossover = sample_crossover_json();
     let cascade = cascade_showdown_json();
     let bgp = bgp_showdown_json();
+    let mining = mining_json();
     let registry = uqsj::obs::global().snapshot_json();
     let json = format!(
         "{{\n  \"bench\": \"deep_verify_10x10\",\n  \"tau\": {tau},\n  \"alpha\": {alpha},\n  \
@@ -515,7 +584,7 @@ fn emit_join_json() {
          \"p50_pair_verify_us\": {p50:.1},\n  \"p99_pair_verify_us\": {p99:.1},\n  \
          \"engine_total_ms\": {et:.2},\n  \"naive_reference_total_ms\": {nt:.2},\n  \
          \"speedup_vs_reference\": {speedup:.2},\n  \"cascade\": {cascade},\n  \
-         \"bgp\": {bgp},\n  \
+         \"bgp\": {bgp},\n  \"mining\": {mining},\n  \
          \"sample_crossover\": {crossover},\n  \"registry\": {reg}\n}}\n",
         reg = registry.trim_end(),
         pairs = times.len(),

@@ -1,19 +1,19 @@
 //! Scaling: join response time vs |D| (the dimension the paper pushes to
-//! 73,057 queries), comparing the plain nested-loop SimJ against the
-//! size-indexed driver. Result sets are identical (property-tested
-//! elsewhere); only where the structural pruning cost is paid differs.
+//! 73,057 queries). `sim_join` enumerates candidates through the size
+//! index, so the share of pairs it never touches grows with |D|; the
+//! all-pairs parallel driver is run alongside as a result-set check.
 
 use uqsj::prelude::*;
-use uqsj::simjoin::sim_join_indexed;
+use uqsj::simjoin::sim_join_parallel;
 use uqsj::workload::DatasetConfig;
-use uqsj_bench::{scale, scaled, secs};
+use uqsj_bench::{pct, scale, scaled, secs};
 
 fn main() {
     let s = scale();
     println!("Join scaling — tau = 1, alpha = 0.8, |U| fixed\n");
     println!(
-        "{:>7} {:>7} | {:>11} {:>11} | {:>9} {:>9}",
-        "|D|", "|U|", "plain(s)", "indexed(s)", "results", "agree"
+        "{:>7} {:>7} | {:>9} {:>14} | {:>9} {:>9}",
+        "|D|", "|U|", "join(s)", "index skipped", "results", "agree"
     );
     for d_target in [250usize, 500, 1000, 2000] {
         let d_target = scaled(d_target, s, 100);
@@ -25,29 +25,28 @@ fn main() {
         });
         let params = JoinParams::simj(1, 0.8);
         let started = std::time::Instant::now();
-        let (plain, _) = sim_join(&dataset.table, &dataset.d_graphs, &dataset.u_graphs, params);
-        let plain_t = started.elapsed();
-        let started = std::time::Instant::now();
-        let (indexed, _) =
-            sim_join_indexed(&dataset.table, &dataset.d_graphs, &dataset.u_graphs, params);
-        let indexed_t = started.elapsed();
+        let (matches, stats) =
+            sim_join(&dataset.table, &dataset.d_graphs, &dataset.u_graphs, params);
+        let join_t = started.elapsed();
+        let skipped = stats.cascade.as_ref().map_or(0, |r| r.pairs_skipped);
+        let (all_pairs, _) =
+            sim_join_parallel(&dataset.table, &dataset.d_graphs, &dataset.u_graphs, params, 2);
         let agree = {
             let key = |m: &JoinMatch| (m.g_index, m.q_index);
-            let mut a: Vec<_> = plain.iter().map(key).collect();
-            a.sort_unstable();
-            let mut b: Vec<_> = indexed.iter().map(key).collect();
+            let a: Vec<_> = matches.iter().map(key).collect();
+            let mut b: Vec<_> = all_pairs.iter().map(key).collect();
             b.sort_unstable();
             a == b
         };
         println!(
-            "{:>7} {:>7} | {:>11} {:>11} | {:>9} {:>9}",
+            "{:>7} {:>7} | {:>9} {:>14} | {:>9} {:>9}",
             dataset.d_len(),
             dataset.u_len(),
-            secs(plain_t),
-            secs(indexed_t),
-            plain.len(),
+            secs(join_t),
+            pct(skipped as f64 / stats.pairs_total.max(1) as f64),
+            matches.len(),
             agree
         );
-        assert!(agree, "indexed join diverged from plain join");
+        assert!(agree, "size-indexed join diverged from the all-pairs parallel join");
     }
 }

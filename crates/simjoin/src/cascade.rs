@@ -240,6 +240,8 @@ pub struct CascadeRuntime {
     plan_epoch: AtomicU64,
     /// Pairs that entered the cascade.
     pairs_done: AtomicU64,
+    /// Pairs a size index answered without entering the cascade.
+    pairs_skipped: AtomicU64,
     /// Pair count at which the next replan fires (`u64::MAX` when the
     /// mode never replans).
     next_replan: AtomicU64,
@@ -325,6 +327,7 @@ impl CascadeRuntime {
             plan: Mutex::new(initial),
             plan_epoch: AtomicU64::new(0),
             pairs_done: AtomicU64::new(0),
+            pairs_skipped: AtomicU64::new(0),
             next_replan: AtomicU64::new(next_replan),
             replans: AtomicU64::new(0),
             adoptions: AtomicU64::new(0),
@@ -336,6 +339,12 @@ impl CascadeRuntime {
     /// The policy this runtime was built with.
     pub fn policy(&self) -> CascadePolicy {
         self.policy
+    }
+
+    /// Count `n` pairs the size index pruned before they reached the
+    /// cascade. They feed no estimate and no epoch counter.
+    pub(crate) fn record_skipped(&self, n: u64) {
+        self.pairs_skipped.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Run one pair through the cascade. Credits exactly one stage in
@@ -623,6 +632,7 @@ impl CascadeRuntime {
             plan: plan.iter().map(|&i| self.stages[i].label).collect(),
             stages,
             pairs_seen: self.pairs_done.load(Ordering::Relaxed),
+            pairs_skipped: self.pairs_skipped.load(Ordering::Relaxed),
             replans: self.replans.load(Ordering::Relaxed),
             plan_epochs: self.adoptions.load(Ordering::Relaxed),
         }
@@ -686,6 +696,8 @@ pub struct CascadeReport {
     pub stages: Vec<StageEstimate>,
     /// Pairs that entered the cascade.
     pub pairs_seen: u64,
+    /// Pairs the size index pruned without entering the cascade.
+    pub pairs_skipped: u64,
     /// Re-rank attempts (epoch boundaries reached).
     pub replans: u64,
     /// Adopted plan changes.
@@ -712,6 +724,7 @@ impl CascadeReport {
         let plan: Vec<String> = self.plan.iter().map(|l| format!("\"{l}\"")).collect();
         s.push_str(&format!("{indent}  \"plan\": [{}],\n", plan.join(", ")));
         s.push_str(&format!("{indent}  \"pairs_seen\": {},\n", self.pairs_seen));
+        s.push_str(&format!("{indent}  \"pairs_skipped\": {},\n", self.pairs_skipped));
         s.push_str(&format!("{indent}  \"replans\": {},\n", self.replans));
         s.push_str(&format!("{indent}  \"plan_epochs\": {},\n", self.plan_epochs));
         s.push_str(&format!("{indent}  \"stages\": [\n"));
@@ -738,8 +751,8 @@ impl fmt::Display for CascadeReport {
         }
         writeln!(
             f,
-            "pairs {}  replans {}  plan epochs {}",
-            self.pairs_seen, self.replans, self.plan_epochs
+            "pairs {}  skipped by size index {}  replans {}  plan epochs {}",
+            self.pairs_seen, self.pairs_skipped, self.replans, self.plan_epochs
         )?;
         writeln!(
             f,

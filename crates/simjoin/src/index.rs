@@ -99,6 +99,29 @@ impl<'a> JoinIndex<'a> {
     ) -> (Vec<JoinMatch>, JoinStats) {
         let mut out = Vec::new();
         let mut stats = JoinStats::default();
+        self.join_into(engine, cascade, cursor, table, g_index, g, params, &mut out, &mut stats);
+        stats.cascade = Some(cascade.report());
+        (out, stats)
+    }
+
+    /// The loop behind [`JoinIndex::join_one_in`] and [`crate::sim_join_in`]:
+    /// join `g` against the in-window queries, append its matches to `out`
+    /// sorted by `q_index`, and accumulate into `stats`. Does not stamp
+    /// `stats.cascade`; the caller snapshots the planner once per join.
+    #[allow(clippy::too_many_arguments)] // the join loop's full context
+    pub(crate) fn join_into(
+        &self,
+        engine: &mut GedEngine,
+        cascade: &CascadeRuntime,
+        cursor: &mut CascadeCursor,
+        table: &SymbolTable,
+        g_index: usize,
+        g: &UncertainGraph,
+        params: JoinParams,
+        out: &mut Vec<JoinMatch>,
+        stats: &mut JoinStats,
+    ) {
+        let first = out.len();
         let v = g.vertex_count() as u32;
         let e = g.edge_count() as u32;
         let mut hits = 0u64;
@@ -114,60 +137,33 @@ impl<'a> JoinIndex<'a> {
                 g_index,
                 g,
                 params,
-                &mut out,
-                &mut stats,
+                out,
+                stats,
             );
         }
         // Pairs outside the window fail the size bound by construction, so
         // they land in the same `pruned_size` bucket the in-window cascade
-        // uses — indexed and plain joins report identical stage counts.
-        // (The cascade runtime deliberately does *not* see these pairs:
-        // in-window pairs pass the size bound by construction, so the
-        // planner correctly learns the size stage is redundant here.)
+        // uses — indexed and all-pairs joins report identical stage counts
+        // under the fixed cascade. The planner counts them as skipped, not
+        // seen: in-window pairs pass the size bound by construction, so it
+        // correctly learns the size stage is redundant here.
         let skipped = self.d.len() as u64 - hits;
         stats.pairs_total += skipped;
         stats.record_pruned("size", skipped);
-        let obs = crate::obs::join_obs();
-        obs.pairs.add(skipped);
+        cascade.record_skipped(skipped);
+        crate::obs::join_obs().pairs.add(skipped);
         stage_handles("size").pruned.add(skipped);
-        stats.cascade = Some(cascade.report());
-        out.sort_by_key(|m| m.q_index);
-        (out, stats)
+        // The window is in size order; matches go out in `D` order, the
+        // order an all-pairs scan visits them.
+        out[first..].sort_by_key(|m| m.q_index);
     }
-}
-
-/// SimJ over `d × u` using the size index to skip hopeless pairs before
-/// any bound computation. Returns the same result set as
-/// [`crate::sim_join`]; `stats.pruned_size` absorbs the index-skipped
-/// pairs (the window test *is* the size bound, just evaluated cheaper).
-pub fn sim_join_indexed(
-    table: &SymbolTable,
-    d: &[Graph],
-    u: &[UncertainGraph],
-    params: JoinParams,
-) -> (Vec<JoinMatch>, JoinStats) {
-    let index = JoinIndex::build(d);
-    let mut out = Vec::new();
-    let mut stats = JoinStats::default();
-    let mut engine = GedEngine::new();
-    // One planner for the whole batch, matching the plain driver.
-    let cascade = CascadeRuntime::new(params.cascade, params.strategy);
-    let mut cursor = CascadeCursor::new();
-    for (gi, g) in u.iter().enumerate() {
-        let (matches, s) =
-            index.join_one_in(&mut engine, &cascade, &mut cursor, table, gi, g, params);
-        out.extend(matches);
-        stats.merge(&s);
-    }
-    stats.cascade = Some(cascade.report());
-    out.sort_by_key(|m| (m.g_index, m.q_index));
-    (out, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::join::sim_join;
+    use crate::parallel::sim_join_parallel;
     use uqsj_graph::GraphBuilder;
 
     fn workload(t: &mut SymbolTable) -> (Vec<Graph>, Vec<UncertainGraph>) {
@@ -221,12 +217,14 @@ mod tests {
 
     #[test]
     fn indexed_join_matches_plain_join() {
+        // `sim_join` enumerates through the index; the parallel driver
+        // still scans every pair through the cascade.
         let mut t = SymbolTable::new();
         let (d, u) = workload(&mut t);
         for tau in 0..3u32 {
             let params = JoinParams::simj(tau, 0.3);
-            let (plain, pstats) = sim_join(&t, &d, &u, params);
-            let (indexed, istats) = sim_join_indexed(&t, &d, &u, params);
+            let (indexed, istats) = sim_join(&t, &d, &u, params);
+            let (plain, pstats) = sim_join_parallel(&t, &d, &u, params, 2);
             let key = |m: &JoinMatch| (m.g_index, m.q_index);
             let mut a: Vec<_> = plain.iter().map(key).collect();
             a.sort_unstable();
@@ -234,6 +232,7 @@ mod tests {
             assert_eq!(a, b, "tau={tau}");
             assert_eq!(pstats.pairs_total, istats.pairs_total);
             assert_eq!(pstats.results, istats.results);
+            assert_eq!(pstats.pruned_size(), istats.pruned_size(), "tau={tau}");
         }
     }
 }

@@ -2,6 +2,7 @@
 //! (Algorithm 2).
 
 use crate::cascade::{CascadeCursor, CascadeOutcome, CascadePolicy, CascadeRuntime};
+use crate::index::JoinIndex;
 use crate::obs::join_obs;
 use crate::stats::JoinStats;
 use std::time::Instant;
@@ -88,8 +89,8 @@ pub struct JoinMatch {
     pub world_prob: f64,
 }
 
-/// Run SimJ over `d × u`. Returns the qualifying pairs and the join
-/// statistics.
+/// Run SimJ over `d × u`. Returns the qualifying pairs, ordered by
+/// `(g_index, q_index)`, and the join statistics.
 pub fn sim_join(
     table: &SymbolTable,
     d: &[Graph],
@@ -104,6 +105,11 @@ pub fn sim_join(
 /// (or a streaming driver) can share one planner's accumulated
 /// estimates. The runtime must have been built with the same strategy as
 /// `params.strategy`.
+///
+/// Candidates come from a [`JoinIndex`] over `d`: pairs outside an
+/// uncertain graph's size window never enter the cascade and are
+/// credited to the `size` stage, so every count matches an all-pairs
+/// scan under the fixed cascade.
 pub fn sim_join_in(
     cascade: &CascadeRuntime,
     table: &SymbolTable,
@@ -111,27 +117,24 @@ pub fn sim_join_in(
     u: &[UncertainGraph],
     params: JoinParams,
 ) -> (Vec<JoinMatch>, JoinStats) {
+    let index = JoinIndex::build(d);
     let mut out = Vec::new();
     let mut stats = JoinStats::default();
     // One search workspace for the whole candidate stream.
     let mut engine = GedEngine::new();
     let mut cursor = CascadeCursor::new();
     for (gi, g) in u.iter().enumerate() {
-        for (qi, q) in d.iter().enumerate() {
-            join_pair(
-                &mut engine,
-                cascade,
-                &mut cursor,
-                table,
-                qi,
-                q,
-                gi,
-                g,
-                params,
-                &mut out,
-                &mut stats,
-            );
-        }
+        index.join_into(
+            &mut engine,
+            cascade,
+            &mut cursor,
+            table,
+            gi,
+            g,
+            params,
+            &mut out,
+            &mut stats,
+        );
     }
     stats.cascade = Some(cascade.report());
     (out, stats)
@@ -170,7 +173,7 @@ pub(crate) fn join_pair(
     // Refinement (lines 7-15), dispatched to the exact or sampling tier
     // by the policy. The sub-seed is a pure function of the pair indices,
     // so sampled decisions are identical whichever driver — sequential,
-    // parallel, indexed — reaches the pair, and replayable from
+    // parallel, streaming — reaches the pair, and replayable from
     // `params.simp.seed` alone.
     stats.candidates += 1;
     obs.candidates.inc();
@@ -339,7 +342,7 @@ mod tests {
         let (d, u) = workload(&mut t);
         let (_, stats) = sim_join(&t, &d, &u, JoinParams::simj(1, 0.5));
         let report = stats.cascade.expect("sequential driver stamps the report");
-        assert_eq!(report.pairs_seen, stats.pairs_total);
+        assert_eq!(report.pairs_seen + report.pairs_skipped, stats.pairs_total);
         assert_eq!(report.plan.first(), Some(&"size"));
     }
 

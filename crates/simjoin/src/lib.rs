@@ -24,7 +24,7 @@ pub mod stats;
 pub mod topk;
 
 pub use cascade::{CascadeCursor, CascadeMode, CascadePolicy, CascadeReport, CascadeRuntime};
-pub use index::{sim_join_indexed, JoinIndex};
+pub use index::JoinIndex;
 pub use join::{sim_join, sim_join_in, JoinMatch, JoinParams, JoinStrategy};
 pub use parallel::sim_join_parallel;
 pub use stats::JoinStats;

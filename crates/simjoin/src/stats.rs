@@ -18,9 +18,9 @@ use std::time::Duration;
 /// [`JoinStats::pruning_time`] and [`JoinStats::verification_time`] are
 /// *CPU* times: per-pair elapsed intervals summed over every pair the run
 /// touched, regardless of which worker touched it. In the sequential
-/// drivers ([`crate::sim_join`], [`crate::sim_join_indexed`]) this equals
-/// wall-clock time — the paper's experiments are single-threaded, so the
-/// summed accounting is the paper-faithful figure. The parallel driver
+/// driver ([`crate::sim_join`]) this equals wall-clock time — the paper's
+/// experiments are single-threaded, so the summed accounting is the
+/// paper-faithful figure. The parallel driver
 /// ([`crate::sim_join_parallel`]) additionally stamps
 /// [`JoinStats::wall_time`] with the driver's true elapsed time;
 /// [`JoinStats::response_time`] prefers it when set, so a parallel run no
@@ -166,7 +166,7 @@ impl JoinStats {
     }
 
     /// Merge another run's counters into this one (used by the parallel
-    /// driver and the indexed per-question loop). Counters and CPU times
+    /// driver). Counters and CPU times
     /// add; `wall_time` max-merges, because concurrent workers' elapsed
     /// intervals overlap — summing them would double-count the clock.
     pub fn merge(&mut self, other: &JoinStats) {

@@ -137,16 +137,24 @@ proptest! {
         raw in workload_strategy(),
         tau in 0u32..3,
     ) {
+        // `sim_join` enumerates through the size index; the parallel
+        // driver still runs every pair through the (fixed) cascade.
         let (t, d, u) = build(&raw);
         let params = JoinParams::simj(tau, 0.4);
-        let (plain, ps) = sim_join(&t, &d, &u, params);
-        let (indexed, is_) = uqsj_simjoin::sim_join_indexed(&t, &d, &u, params);
+        let (indexed, is_) = sim_join(&t, &d, &u, params);
+        let (plain, ps) = uqsj_simjoin::sim_join_parallel(&t, &d, &u, params, 2);
         let key = |m: &uqsj_simjoin::JoinMatch| (m.g_index, m.q_index);
         let mut a: Vec<_> = plain.iter().map(key).collect();
         a.sort_unstable();
         let b: Vec<_> = indexed.iter().map(key).collect();
         prop_assert_eq!(a, b);
         prop_assert_eq!(ps.pairs_total, is_.pairs_total);
+        let stages = |s: &uqsj_simjoin::JoinStats| {
+            let mut v: Vec<_> = s.pruned_stages().iter().filter(|(_, n)| *n > 0).copied().collect();
+            v.sort_unstable();
+            v
+        };
+        prop_assert_eq!(stages(&ps), stages(&is_));
     }
 
     #[test]

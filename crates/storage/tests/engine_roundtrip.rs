@@ -91,3 +91,52 @@ fn compaction_folds_the_wal_and_rotates_generations() {
     assert_eq!((snapshots, wals), (1, 1), "stale generations left behind: {names:?}");
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn duplicate_templates_recover_the_same_library() {
+    let dir = scratch_dir("duplicates");
+    let a = |c| template(&["Which", "<_>", "graduated", "from", "<_>", "?"], "graduatedFrom", c);
+    let b = |c| template(&["Who", "is", "married", "to", "<_>", "?"], "spouse", c);
+    let c = |c| template(&["Who", "directed", "<_>", "?"], "director", c);
+    // The snapshot holds a deduplicated prefix of the stream; the WAL
+    // batch repeats snapshot keys and its own keys, with lower, tied and
+    // higher confidences.
+    let snapshot_part = [a(0.5), b(0.6), a(0.4)];
+    let wal_batch = [c(0.3), a(0.9), b(0.6), c(0.7), b(0.2), c(0.7)];
+    let mut want = uqsj_template::TemplateLibrary::new();
+    for t in snapshot_part.iter().chain(&wal_batch) {
+        want.add(t.clone());
+    }
+    let bits = |l: &uqsj_template::TemplateLibrary| {
+        l.templates().iter().map(|t| t.confidence.to_bits()).collect::<Vec<_>>()
+    };
+    // First-seen order, each key at its highest confidence.
+    assert_eq!(bits(&want), [0.9f64, 0.6, 0.7].map(f64::to_bits));
+    assert_eq!(want.templates()[2].sparql, c(0.0).sparql);
+
+    let mut state = small_state();
+    state.library = uqsj_template::TemplateLibrary::new();
+    for t in &snapshot_part {
+        state.library.add(t.clone());
+    }
+    let (mut engine, _) = StorageEngine::open(&dir).expect("open");
+    engine.compact(&state.library, &state.lexicon, &state.triples).expect("snapshot");
+    engine.append_templates(&wal_batch).expect("append batch");
+    drop(engine);
+
+    // WAL replay over the snapshot.
+    let (mut engine, recovered) = StorageEngine::open(&dir).expect("recover");
+    assert_eq!(recovered.wal_records, wal_batch.len());
+    assert_same_library(&recovered.state.library, &want, "wal replay of duplicates");
+    assert_eq!(bits(&recovered.state.library), bits(&want));
+
+    // Snapshot round trip of the merged library.
+    let merged = recovered.state;
+    engine.compact(&merged.library, &merged.lexicon, &merged.triples).expect("compact");
+    drop(engine);
+    let (_, reopened) = StorageEngine::open(&dir).expect("reopen");
+    assert_eq!(reopened.wal_records, 0);
+    assert_same_library(&reopened.state.library, &want, "snapshot round trip");
+    assert_eq!(bits(&reopened.state.library), bits(&want));
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -3,6 +3,7 @@
 //! linking, and SPARQL execution.
 
 use crate::template::{slot_index, SlotBinding, Template};
+use std::collections::hash_map::{Entry, HashMap};
 use uqsj_nlp::align::{align_with_slots, partial_align_with_slots};
 use uqsj_nlp::deptree::parse_dependency_tokens;
 use uqsj_nlp::signature::NlSignature;
@@ -12,10 +13,13 @@ use uqsj_nlp::Lexicon;
 use uqsj_rdf::TripleStore;
 use uqsj_sparql::{SparqlQuery, Term};
 
-/// A deduplicated set of templates.
+/// A deduplicated set of templates, in first-seen order.
 #[derive(Debug, Default)]
 pub struct TemplateLibrary {
     templates: Vec<Template>,
+    /// [`Template::dedup_key`] → position in `templates`, so an insert
+    /// costs one key build and one hash probe, not a library scan.
+    positions: HashMap<(String, String), usize>,
 }
 
 impl TemplateLibrary {
@@ -27,15 +31,20 @@ impl TemplateLibrary {
     /// Insert a template; returns `false` (and keeps the higher-confidence
     /// copy) when an identical pattern pair already exists.
     pub fn add(&mut self, t: Template) -> bool {
-        let key = t.dedup_key();
-        if let Some(existing) = self.templates.iter_mut().find(|x| x.dedup_key() == key) {
-            if t.confidence > existing.confidence {
-                existing.confidence = t.confidence;
+        match self.positions.entry(t.dedup_key()) {
+            Entry::Occupied(slot) => {
+                let existing = &mut self.templates[*slot.get()];
+                if t.confidence > existing.confidence {
+                    existing.confidence = t.confidence;
+                }
+                false
             }
-            return false;
+            Entry::Vacant(slot) => {
+                slot.insert(self.templates.len());
+                self.templates.push(t);
+                true
+            }
         }
-        self.templates.push(t);
-        true
     }
 
     /// Number of distinct templates.

@@ -91,3 +91,47 @@ proptest! {
         prop_assert_eq!(lib.len(), 1);
     }
 }
+
+/// The pre-index `TemplateLibrary::add`: a linear scan comparing every
+/// stored template's dedup key. The oracle for the hashed library.
+fn reference_add(lib: &mut Vec<Template>, t: Template) -> bool {
+    let key = t.dedup_key();
+    if let Some(existing) = lib.iter_mut().find(|x| x.dedup_key() == key) {
+        if t.confidence > existing.confidence {
+            existing.confidence = t.confidence;
+        }
+        return false;
+    }
+    lib.push(t);
+    true
+}
+
+proptest! {
+    /// Streams drawn from a small pool repeat keys often; each insert
+    /// either ties the pool entry's confidence, rises with the stream
+    /// position, or takes one of a few shared values.
+    #[test]
+    fn hashed_dedup_matches_linear_scan(
+        pool in prop::collection::vec(template_strategy(), 1..6),
+        stream in prop::collection::vec((0usize..6, 0u8..3, 0usize..4), 1..40),
+    ) {
+        const SHARED: [f64; 4] = [0.25, 0.5, 0.5, 0.9];
+        let pool: Vec<Template> = pool.iter().map(build).collect();
+        let mut lib = TemplateLibrary::new();
+        let mut reference = Vec::new();
+        for (i, &(pick, kind, shared)) in stream.iter().enumerate() {
+            let mut t = pool[pick % pool.len()].clone();
+            t.confidence = match kind {
+                0 => t.confidence,
+                1 => i as f64 / stream.len() as f64,
+                _ => SHARED[shared],
+            };
+            prop_assert_eq!(lib.add(t.clone()), reference_add(&mut reference, t), "insert {}", i);
+        }
+        prop_assert_eq!(lib.len(), reference.len());
+        for (a, b) in lib.templates().iter().zip(&reference) {
+            prop_assert_eq!(a.dedup_key(), b.dedup_key());
+            prop_assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
+        }
+    }
+}

@@ -23,9 +23,7 @@ use uqsj_ged::reference::{ged_bounded_reference, ged_reference};
 use uqsj_ged::GedEngine;
 use uqsj_graph::{Graph, SymbolTable, UncertainGraph};
 use uqsj_sample::SimpPolicy;
-use uqsj_simjoin::{
-    sim_join, sim_join_indexed, sim_join_parallel, CascadePolicy, JoinParams, JoinStrategy,
-};
+use uqsj_simjoin::{sim_join, sim_join_parallel, CascadePolicy, JoinParams, JoinStrategy};
 use uqsj_uncertain::groups::{partition_groups, ub_simp_grouped, verify_simp_groups_with};
 use uqsj_uncertain::prob::verify_simp_with;
 use uqsj_uncertain::prob_bound::{ub_simp, ub_simp_exact_tail};
@@ -358,7 +356,6 @@ pub fn check_join_agreement(
             pair_set(&sim_join(table, d, u, params(JoinStrategy::SimJOpt { group_count: 4 })).0),
         ),
         ("parallel", pair_set(&sim_join_parallel(table, d, u, params(JoinStrategy::SimJ), 3).0)),
-        ("indexed", pair_set(&sim_join_indexed(table, d, u, params(JoinStrategy::SimJ)).0)),
     ];
     for (name, pairs) in &runs {
         *report.join_runs.entry(name).or_default() += 1;

@@ -31,7 +31,6 @@ fn quick_profile_passes_with_full_coverage() {
         "simj",
         "simj_opt",
         "parallel",
-        "indexed",
         "auto_tier",
         "shuffled_cascade",
         "adaptive_cascade",
