@@ -257,7 +257,7 @@ fn main() -> ExitCode {
             dataset.kb.lexicon.clone(),
             dataset.kb.triple_store(),
             shards,
-            ServeConfig { min_phi: 1.0, cache_capacity: 1024, bgp_eval: None },
+            ServeConfig { min_phi: 1.0, cache_capacity: 1024 },
         ));
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         uqsj::net::serve_on(qa, listener, net).expect("start server")

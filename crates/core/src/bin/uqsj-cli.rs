@@ -7,7 +7,7 @@
 //!     artifacts/templates.txt, artifacts/lexicon.txt, artifacts/kb.nt.
 //!
 //! uqsj-cli answer --dir artifacts --question "Which politician ...?"
-//!                 [--min-phi F] [--bgp-eval lftj|reference]
+//!                 [--min-phi F]
 //!     Load the artifacts and answer a question with the templates.
 //!
 //! uqsj-cli join [--questions N] [--distractors M] [--tau T] [--alpha A]
@@ -45,20 +45,15 @@
 //!     failure probability; --sample-seed (default 42) makes every
 //!     sampled decision replayable.
 //!
-//!     BGP flag (generate, answer, join, serve): --bgp-eval picks the
-//!     SPARQL answer-retrieval evaluator — lftj (default), the
-//!     leapfrog-triejoin worst-case-optimal join under summary-based
-//!     cardinality planning, or reference, the nested-loop oracle. Both
-//!     return identical answers; only cost changes.
-//!
 //! uqsj-cli serve --dir artifacts [--file questions.txt] [--min-phi F]
-//!                [--threads N] [--cache C] [--bgp-eval lftj|reference]
-//!                [--metrics-out FILE]
+//!                [--threads N] [--cache C] [--metrics-out FILE]
 //!                [--stats-interval N] [--log-out FILE|-]
 //!     Serve questions (one per line, from --file or stdin) through the
 //!     signature-indexed template store, then print serving metrics.
-//!     With --data-dir DIR instead of --dir, the server opens a durable
-//!     snapshot+WAL storage directory (recovering state on start).
+//!     With --data-dir DIR instead of --dir, the server recovers a data
+//!     directory written by `snapshot` or `serve --listen`. The printed
+//!     template index is local to the answering shard, which for a
+//!     one-shard directory (what `snapshot` writes) is the library index.
 //!     --metrics-out writes the server + process registries (Prometheus
 //!     text to FILE, JSON to FILE.json); --stats-interval prints a
 //!     metrics line every N questions; --log-out installs the structured
@@ -70,21 +65,24 @@
 //!                [--cache C]
 //!     Serve over HTTP instead of a question file: a sharded (and, with
 //!     --data-dir, replicated + durable) template store behind the
-//!     uqsj-net front end. With --data-dir, an existing sharded
-//!     directory (holding a SHARDS file) is recovered; an empty or
-//!     absent one is bootstrapped from the --dir artifacts (any other
-//!     layout — e.g. a single-store dir from `snapshot` — is refused
-//!     rather than mixed). Runs until SIGINT/SIGTERM,
+//!     uqsj-net front end. With --data-dir, an empty or absent
+//!     directory is bootstrapped from the --dir artifacts with
+//!     --shards x --replicas; any other directory is recovered with the
+//!     topology it was written with. Runs until SIGINT/SIGTERM,
 //!     then drains gracefully: stops accepting, finishes in-flight
 //!     requests, fsyncs every shard's replica WALs.
 //!
 //! uqsj-cli snapshot --dir artifacts --data-dir data
-//!     Import text artifacts into a storage directory as a fresh binary
-//!     snapshot generation.
+//!     Import text artifacts into a data directory (one shard, one
+//!     replica) as a fresh binary snapshot generation.
 //!
 //! uqsj-cli compact --data-dir data
-//!     Recover a storage directory (snapshot + WAL replay) and fold the
-//!     WAL into the next snapshot generation.
+//!     Recover a data directory (snapshot + WAL replay per replica) and
+//!     fold the WALs into the next snapshot generation.
+//!
+//! Every data directory has one layout: a SHARDS topology file plus a
+//! snapshot + WAL directory per shard replica. Both `serve` modes read
+//! it; a directory without SHARDS is refused.
 //!
 //! uqsj-cli conformance [--seed S] [--pairs N] [--profile quick|deep]
 //!     Run the differential conformance suite: seeded boundary-biased
@@ -195,23 +193,6 @@ fn dataset_config(opts: &Options) -> DatasetConfig {
     }
 }
 
-/// `--bgp-eval lftj|reference`: set the process-default BGP evaluator
-/// (answer retrieval for generate/answer/join/serve). Returns the choice
-/// so `serve` can also pin it per-server through `ServeConfig`.
-fn bgp_eval(opts: &Options) -> Option<uqsj::rdf::BgpEval> {
-    let raw = opts.get("bgp-eval")?;
-    match uqsj::rdf::BgpEval::parse(raw) {
-        Some(eval) => {
-            uqsj::rdf::bgp::set_default(eval);
-            Some(eval)
-        }
-        None => {
-            eprintln!("unknown --bgp-eval {raw:?}; expected lftj|reference, using lftj");
-            None
-        }
-    }
-}
-
 fn simp_policy(opts: &Options) -> SimpPolicy {
     let epsilon = opts.num("epsilon", 0.05);
     let delta = opts.num("delta", 0.05);
@@ -264,7 +245,6 @@ fn join_params(opts: &Options) -> JoinParams {
 }
 
 fn generate(opts: &Options) -> ExitCode {
-    bgp_eval(opts);
     let out_dir = PathBuf::from(opts.get("out-dir").unwrap_or("artifacts"));
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
         eprintln!("cannot create {}: {e}", out_dir.display());
@@ -336,7 +316,6 @@ fn answer(opts: &Options) -> ExitCode {
         eprintln!("answer requires --question \"...\"");
         return ExitCode::FAILURE;
     };
-    bgp_eval(opts);
     let dir = PathBuf::from(opts.get("dir").unwrap_or("artifacts"));
     let min_phi: f64 = opts.num("min-phi", 1.0);
     let (library, lexicon, store) = match load_artifacts(&dir) {
@@ -403,50 +382,16 @@ fn serve_http(opts: &Options, listen: &str) -> ExitCode {
     use std::sync::Arc;
     use std::time::Duration;
     use uqsj::net::NetConfig;
-    use uqsj::serve::{ServeConfig, ShardedQaServer};
 
-    let config = ServeConfig {
-        min_phi: opts.num("min-phi", 1.0),
-        cache_capacity: opts.num("cache", 1024),
-        bgp_eval: bgp_eval(opts),
-    };
+    let config = serve_config(opts);
     let shards: usize = opts.num("shards", 4);
     let replicas: usize = opts.num("replicas", 1);
     let qa = if let Some(data_dir) = opts.get("data-dir") {
         let dir = Path::new(data_dir);
-        if dir.join("SHARDS").exists() {
-            match ShardedQaServer::open(dir, config) {
-                Ok(qa) => {
-                    println!(
-                        "recovered {} templates from {data_dir} \
-                         ({} shards x {} replicas)",
-                        qa.template_count(),
-                        qa.shard_count(),
-                        qa.replica_count()
-                    );
-                    qa
-                }
-                Err(e) => {
-                    eprintln!("cannot open sharded data dir {data_dir}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            // Only bootstrap into a fresh directory. A non-empty one
-            // without SHARDS is some other layout — most likely a
-            // single-store data dir from `snapshot` — and scattering
-            // shard subdirectories into it would leave two stores
-            // diverging in one place.
-            let occupied =
-                std::fs::read_dir(dir).map(|mut entries| entries.next().is_some()).unwrap_or(false);
-            if occupied {
-                eprintln!(
-                    "{data_dir} exists but is not a sharded data dir (no SHARDS file); \
-                     if it came from `uqsj-cli snapshot`, serve it without --listen, or \
-                     point --data-dir at a fresh directory to shard the --dir artifacts into"
-                );
-                return ExitCode::FAILURE;
-            }
+        // Bootstrap only into a fresh directory; anything else is opened,
+        // so a directory in some other layout is refused, not mixed into.
+        let fresh = std::fs::read_dir(dir).map_or(true, |mut entries| entries.next().is_none());
+        if fresh {
             let artifacts = PathBuf::from(opts.get("dir").unwrap_or("artifacts"));
             let (library, lexicon, store) = match load_artifacts(&artifacts) {
                 Ok(x) => x,
@@ -462,9 +407,14 @@ fn serve_http(opts: &Options, listen: &str) -> ExitCode {
                     qa
                 }
                 Err(e) => {
-                    eprintln!("cannot bootstrap sharded data dir {data_dir}: {e}");
+                    eprintln!("cannot bootstrap data dir {data_dir}: {e}");
                     return ExitCode::FAILURE;
                 }
+            }
+        } else {
+            match open_data_dir(data_dir, config) {
+                Ok(qa) => qa,
+                Err(code) => return code,
             }
         }
     } else {
@@ -514,17 +464,36 @@ fn serve_http(opts: &Options, listen: &str) -> ExitCode {
     }
 }
 
-fn serve(opts: &Options) -> ExitCode {
-    use uqsj::serve::{QaServer, ServeConfig, TemplateStore};
+/// `--min-phi` and `--cache`, shared by both `serve` modes.
+fn serve_config(opts: &Options) -> ServeConfig {
+    ServeConfig { min_phi: opts.num("min-phi", 1.0), cache_capacity: opts.num("cache", 1024) }
+}
 
+/// Recover a data directory, reporting what was recovered.
+fn open_data_dir(data_dir: &str, config: ServeConfig) -> Result<ShardedQaServer, ExitCode> {
+    match ShardedQaServer::open(Path::new(data_dir), config) {
+        Ok(qa) => {
+            println!(
+                "recovered {} templates from {data_dir} ({} shards x {} replicas, generation {:?})",
+                qa.template_count(),
+                qa.shard_count(),
+                qa.replica_count(),
+                qa.storage_generations()
+            );
+            Ok(qa)
+        }
+        Err(e) => {
+            eprintln!("cannot open data dir {data_dir}: {e}");
+            Err(ExitCode::FAILURE)
+        }
+    }
+}
+
+fn serve(opts: &Options) -> ExitCode {
     if let Some(listen) = opts.get("listen") {
         return serve_http(opts, listen);
     }
-    let config = ServeConfig {
-        min_phi: opts.num("min-phi", 1.0),
-        cache_capacity: opts.num("cache", 1024),
-        bgp_eval: bgp_eval(opts),
-    };
+    let config = serve_config(opts);
     let threads: usize = opts.num("threads", 1);
     if threads == 0 {
         eprintln!("--threads must be >= 1");
@@ -536,19 +505,9 @@ fn serve(opts: &Options) -> ExitCode {
         }
     }
     let server = if let Some(data_dir) = opts.get("data-dir") {
-        match QaServer::open(Path::new(data_dir), config) {
-            Ok(server) => {
-                println!(
-                    "recovered {} templates from {data_dir} (generation {})",
-                    server.template_count(),
-                    server.storage_generation().unwrap_or(0)
-                );
-                server
-            }
-            Err(e) => {
-                eprintln!("cannot open data dir {data_dir}: {e}");
-                return ExitCode::FAILURE;
-            }
+        match open_data_dir(data_dir, config) {
+            Ok(server) => server,
+            Err(code) => return code,
         }
     } else {
         let dir = PathBuf::from(opts.get("dir").unwrap_or("artifacts"));
@@ -556,7 +515,7 @@ fn serve(opts: &Options) -> ExitCode {
             Ok(x) => x,
             Err(code) => return code,
         };
-        QaServer::new(TemplateStore::from_library(library), lexicon, store, config)
+        ShardedQaServer::new(library, lexicon, store, 1, config)
     };
     println!("serving {} templates (min-phi {})", server.template_count(), config.min_phi);
 
@@ -634,11 +593,9 @@ fn serve(opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Import the text artifacts of a `generate` run into a storage data
-/// directory as a fresh binary snapshot generation.
+/// Import the text artifacts of a `generate` run into a one-shard,
+/// one-replica data directory as a fresh binary snapshot generation.
 fn snapshot(opts: &Options) -> ExitCode {
-    use uqsj::storage::StorageEngine;
-
     let dir = PathBuf::from(opts.get("dir").unwrap_or("artifacts"));
     let Some(data_dir) = opts.get("data-dir") else {
         eprintln!("snapshot requires --data-dir DIR");
@@ -648,19 +605,21 @@ fn snapshot(opts: &Options) -> ExitCode {
         Ok(x) => x,
         Err(code) => return code,
     };
-    let (mut engine, _) = match StorageEngine::open(Path::new(data_dir)) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("cannot open data dir {data_dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match engine.compact(&library, &lexicon, &store) {
-        Ok(generation) => {
+    let triples = store.len();
+    match ShardedQaServer::create(
+        Path::new(data_dir),
+        library,
+        lexicon,
+        store,
+        1,
+        1,
+        ServeConfig::default(),
+    ) {
+        Ok(qa) => {
             println!(
-                "wrote snapshot generation {generation} to {data_dir}: {} templates, {} triples",
-                library.len(),
-                store.len()
+                "wrote snapshot generation {:?} to {data_dir}: {} templates, {triples} triples",
+                qa.storage_generations(),
+                qa.template_count()
             );
             ExitCode::SUCCESS
         }
@@ -671,32 +630,22 @@ fn snapshot(opts: &Options) -> ExitCode {
     }
 }
 
-/// Recover a storage directory and fold its WAL into the next snapshot
+/// Recover a data directory and fold its WALs into the next snapshot
 /// generation.
 fn compact(opts: &Options) -> ExitCode {
-    use uqsj::storage::StorageEngine;
-
     let Some(data_dir) = opts.get("data-dir") else {
         eprintln!("compact requires --data-dir DIR");
         return ExitCode::FAILURE;
     };
-    let (mut engine, recovered) = match StorageEngine::open(Path::new(data_dir)) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("cannot open data dir {data_dir}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let qa = match open_data_dir(data_dir, ServeConfig::default()) {
+        Ok(qa) => qa,
+        Err(code) => return code,
     };
-    let state = recovered.state;
-    if recovered.wal_torn_bytes > 0 {
-        println!("dropped {} bytes of torn WAL tail", recovered.wal_torn_bytes);
-    }
-    match engine.compact(&state.library, &state.lexicon, &state.triples) {
-        Ok(generation) => {
+    match qa.compact() {
+        Ok(generations) => {
             println!(
-                "folded {} WAL records into snapshot generation {generation} ({} templates)",
-                recovered.wal_records,
-                state.library.len()
+                "compacted {data_dir} into snapshot generation {generations:?} ({} templates)",
+                qa.template_count()
             );
             ExitCode::SUCCESS
         }
@@ -708,7 +657,6 @@ fn compact(opts: &Options) -> ExitCode {
 }
 
 fn join(opts: &Options) -> ExitCode {
-    bgp_eval(opts);
     let dataset = uqsj::workload::qald_like(&dataset_config(opts));
     let params = join_params(opts);
     let cascade = uqsj::simjoin::CascadeRuntime::new(params.cascade, params.strategy);

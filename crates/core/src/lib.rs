@@ -65,7 +65,7 @@ pub mod prelude {
     pub use crate::graph::{Graph, GraphBuilder, Symbol, SymbolTable, UncertainGraph, VertexId};
     pub use crate::pipeline::{generate_templates, PipelineResult};
     pub use crate::sample::{SimpMode, SimpPolicy};
-    pub use crate::serve::{Ingestor, QaServer, ServeConfig, TemplateStore};
+    pub use crate::serve::{Ingestor, ServeConfig, ShardedQaServer, TemplateStore};
     pub use crate::simjoin::{
         sim_join, CascadeMode, CascadePolicy, JoinMatch, JoinParams, JoinStats, JoinStrategy,
     };

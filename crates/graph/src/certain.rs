@@ -7,10 +7,9 @@
 //! predicates).
 
 use crate::interner::Symbol;
-use serde::{Deserialize, Serialize};
 
 /// Index of a vertex within one graph.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct VertexId(pub u32);
 
 impl VertexId {
@@ -22,7 +21,7 @@ impl VertexId {
 }
 
 /// A directed labeled edge.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Edge {
     /// Source vertex.
     pub src: VertexId,
@@ -33,7 +32,7 @@ pub struct Edge {
 }
 
 /// A certain labeled directed multigraph.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Graph {
     labels: Vec<Symbol>,
     edges: Vec<Edge>,

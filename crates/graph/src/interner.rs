@@ -5,12 +5,11 @@
 //! is a *wildcard* (a SPARQL variable like `?x` or a blank node `_:b`),
 //! which the graph-edit-distance machinery treats as matching any label.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// An interned label.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(pub u32);
 
 impl Symbol {
@@ -28,7 +27,7 @@ impl fmt::Debug for Symbol {
 }
 
 /// Interner mapping label strings to dense [`Symbol`] ids.
-#[derive(Default, Clone, Serialize, Deserialize)]
+#[derive(Default, Clone)]
 pub struct SymbolTable {
     map: HashMap<String, u32>,
     names: Vec<String>,

@@ -8,11 +8,10 @@
 
 use crate::certain::{Edge, Graph, VertexId};
 use crate::interner::Symbol;
-use serde::{Deserialize, Serialize};
 
 /// One alternative label of an uncertain vertex together with its
 /// existence probability `l(v).p ∈ (0, 1]`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LabelAlternative {
     /// The candidate label.
     pub label: Symbol,
@@ -22,7 +21,7 @@ pub struct LabelAlternative {
 
 /// A vertex of an uncertain graph: a non-empty set of mutually exclusive
 /// label alternatives whose probabilities sum to at most 1.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct UncertainVertex {
     /// Alternatives, in insertion order. Never empty in a valid graph.
     pub alternatives: Vec<LabelAlternative>,
@@ -50,7 +49,7 @@ impl UncertainVertex {
 /// Edge labels are certain, following the paper's presentation (Sec. 3.1.1:
 /// "we do not discuss the edge label uncertainty ... it is straightforward
 /// to handle the general case" by reifying edges as vertices).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct UncertainGraph {
     vertices: Vec<UncertainVertex>,
     edges: Vec<Edge>,

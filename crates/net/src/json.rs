@@ -1,8 +1,8 @@
 //! A minimal JSON value model with a strict parser and a writer.
 //!
-//! The workspace's `serde` resolves to the offline no-op shim (the build
-//! has no registry access), so the wire protocol hand-rolls its JSON the
-//! same way `uqsj-obs` hand-rolls its snapshot export. The subset is
+//! The workspace has no serde (the build has no registry access), so the
+//! wire protocol hand-rolls its JSON the same way `uqsj-obs` hand-rolls
+//! its snapshot export. The subset is
 //! full JSON minus one liberty: numbers are held as `f64` (every value
 //! the protocol carries — counts, latencies, probabilities — fits).
 

@@ -4,8 +4,8 @@
 //! in-process library; this crate puts a network in front of it with no
 //! runtime or framework — a hand-rolled HTTP/1.1 server on
 //! `std::net::TcpListener`, a fixed worker-thread pool, and a JSON codec
-//! written against [`json::Value`] (the workspace's vendored `serde` is
-//! a no-op shim, so nothing derives).
+//! written against [`json::Value`] (the workspace has no serde, so
+//! nothing derives).
 //!
 //! The pieces:
 //!

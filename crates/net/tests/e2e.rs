@@ -54,7 +54,7 @@ fn sharded(seed: Vec<Template>, shards: usize) -> Arc<ShardedQaServer> {
         lexicon,
         triples,
         shards,
-        ServeConfig { min_phi: 1.0, cache_capacity: 64, bgp_eval: None },
+        ServeConfig { min_phi: 1.0, cache_capacity: 64 },
     ))
 }
 

@@ -7,12 +7,11 @@
 //! with the synthetic knowledge base so that questions, SPARQL queries and
 //! RDF data agree.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One candidate resolution of an entity surface form, with the linker's
 /// confidence. Confidences of one surface form sum to at most 1.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EntityCandidate {
     /// The knowledge-base entity (e.g. `Michael_Jordan_basketball`).
     pub entity: String,
@@ -25,7 +24,7 @@ pub struct EntityCandidate {
 }
 
 /// A predicate with its natural-language relation phrases.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PredicateInfo {
     /// Predicate local name (e.g. `graduatedFrom`).
     pub name: String,
@@ -34,7 +33,7 @@ pub struct PredicateInfo {
 }
 
 /// The full lexicon.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Lexicon {
     /// Class noun → class name (`"actor"` → `"Actor"`).
     pub class_nouns: HashMap<String, String>,

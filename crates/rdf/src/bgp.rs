@@ -8,12 +8,12 @@
 //! * [`mod@reference`] — the original selectivity-ordered index-nested-loop
 //!   evaluator, retained as the differential-test oracle.
 //!
-//! Which one runs is decided by [`current`]: a thread-local scoped
-//! override ([`scoped`]) if installed, else the process-wide default
-//! ([`set_default`], normally [`BgpEval::Lftj`], flipped by
-//! `uqsj-cli --bgp-eval reference`). Both produce identical solution
-//! *sets*; the reference may emit duplicate bindings when the store holds
-//! duplicate triples, which [`evaluate`]'s dedup step absorbs.
+//! [`evaluate`] and [`solutions`] always run the leapfrog join;
+//! [`evaluate_with`] and [`solutions_with`] take the evaluator explicitly,
+//! which is how the differential oracles reach the reference. Both
+//! produce identical solution *sets*; the reference may emit duplicate
+//! bindings when the store holds duplicate triples, which
+//! [`evaluate_with`]'s dedup step absorbs.
 
 pub mod reference;
 
@@ -22,9 +22,7 @@ use crate::lftj;
 use crate::obs::rdf_obs;
 use crate::plan::q_error;
 use crate::store::TripleStore;
-use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
 use uqsj_sparql::SparqlQuery;
 
 /// One solution: variable name → bound term.
@@ -40,15 +38,6 @@ pub enum BgpEval {
 }
 
 impl BgpEval {
-    /// Parse a CLI/user label.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "lftj" => Some(Self::Lftj),
-            "reference" => Some(Self::Reference),
-            _ => None,
-        }
-    }
-
     /// Stable label (also the metric label value).
     pub fn label(self) -> &'static str {
         match self {
@@ -56,51 +45,6 @@ impl BgpEval {
             Self::Reference => "reference",
         }
     }
-}
-
-static DEFAULT_EVAL: AtomicU8 = AtomicU8::new(0); // 0 = Lftj, 1 = Reference
-
-thread_local! {
-    static SCOPED: Cell<Option<BgpEval>> = const { Cell::new(None) };
-}
-
-/// Set the process-wide default evaluator (e.g. from `--bgp-eval`).
-pub fn set_default(eval: BgpEval) {
-    DEFAULT_EVAL.store(matches!(eval, BgpEval::Reference) as u8, Ordering::Relaxed);
-}
-
-/// The process-wide default evaluator.
-pub fn default_eval() -> BgpEval {
-    if DEFAULT_EVAL.load(Ordering::Relaxed) == 0 {
-        BgpEval::Lftj
-    } else {
-        BgpEval::Reference
-    }
-}
-
-/// Restores the previous thread-local evaluator override on drop.
-pub struct EvalGuard {
-    prev: Option<BgpEval>,
-}
-
-impl Drop for EvalGuard {
-    fn drop(&mut self) {
-        SCOPED.with(|c| c.set(self.prev));
-    }
-}
-
-/// Override the evaluator on this thread until the guard drops — how a
-/// server honors a per-instance choice without perturbing the process
-/// default (the same shape as `trace::set_enabled`'s scoping).
-pub fn scoped(eval: BgpEval) -> EvalGuard {
-    let prev = SCOPED.with(|c| c.replace(Some(eval)));
-    EvalGuard { prev }
-}
-
-/// The evaluator a query issued now would use: the scoped override if
-/// one is installed on this thread, else the process default.
-pub fn current() -> BgpEval {
-    SCOPED.with(|c| c.get()).unwrap_or_else(default_eval)
 }
 
 /// The projected column names of a query: its `SELECT` list, or for
@@ -129,13 +73,12 @@ pub fn projection(query: &SparqlQuery) -> Vec<String> {
 /// assert_eq!(uqsj_rdf::bgp::evaluate(&store, &q), vec![vec!["Alice".to_string()]]);
 /// ```
 pub fn evaluate(store: &TripleStore, query: &SparqlQuery) -> Vec<Vec<String>> {
-    evaluate_with(store, query, current())
+    evaluate_with(store, query, BgpEval::Lftj)
 }
 
-/// All variable bindings satisfying the pattern, via the [`current`]
-/// evaluator.
+/// All variable bindings satisfying the pattern, via the leapfrog join.
 pub fn solutions(store: &TripleStore, query: &SparqlQuery) -> Vec<Bindings> {
-    solutions_with(store, query, current())
+    solutions_with(store, query, BgpEval::Lftj)
 }
 
 /// As [`evaluate`], with an explicit evaluator choice.
@@ -281,25 +224,9 @@ mod tests {
     }
 
     #[test]
-    fn scoped_override_wins_then_restores() {
-        assert_eq!(current(), default_eval());
-        {
-            let _g = scoped(BgpEval::Reference);
-            assert_eq!(current(), BgpEval::Reference);
-            {
-                let _g2 = scoped(BgpEval::Lftj);
-                assert_eq!(current(), BgpEval::Lftj);
-            }
-            assert_eq!(current(), BgpEval::Reference);
-        }
-        assert_eq!(current(), default_eval());
-    }
-
-    #[test]
     fn eval_labels_roundtrip() {
-        for e in [BgpEval::Lftj, BgpEval::Reference] {
-            assert_eq!(BgpEval::parse(e.label()), Some(e));
-        }
-        assert_eq!(BgpEval::parse("nope"), None);
+        let labels = [BgpEval::Lftj.label(), BgpEval::Reference.label()];
+        assert_eq!(labels, ["lftj", "reference"], "labels are metric values: keep them stable");
+        assert_ne!(labels[0], labels[1]);
     }
 }

@@ -5,7 +5,6 @@
 //! with `#` and blank lines are skipped.
 
 use crate::store::TripleStore;
-use bytes::Bytes;
 use std::fmt;
 
 /// Loader error with line number and the offending line's text.
@@ -50,9 +49,9 @@ pub fn load_str(store: &mut TripleStore, text: &str) -> Result<usize, LoadError>
     Ok(n)
 }
 
-/// Load from a byte buffer (the `bytes` entry point used when a dataset
-/// is shipped as one blob).
-pub fn load_bytes(store: &mut TripleStore, data: &Bytes) -> Result<usize, LoadError> {
+/// Load from a byte buffer (the entry point used when a dataset is
+/// shipped as one blob); the bytes must be UTF-8.
+pub fn load_bytes(store: &mut TripleStore, data: &[u8]) -> Result<usize, LoadError> {
     let text = std::str::from_utf8(data).map_err(|e| LoadError {
         line: 0,
         line_text: String::new(),
@@ -162,8 +161,7 @@ mod tests {
     #[test]
     fn loads_from_bytes() {
         let mut s = TripleStore::new();
-        let data = Bytes::from_static(b"a p b .\n");
-        assert_eq!(load_bytes(&mut s, &data).unwrap(), 1);
+        assert_eq!(load_bytes(&mut s, b"a p b .\n").unwrap(), 1);
     }
 
     #[test]

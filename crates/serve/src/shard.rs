@@ -1,4 +1,5 @@
-//! The sharded, replicated template store behind the network front end.
+//! The Q/A server: a sharded, optionally replicated template store behind
+//! both the CLI and the network front end.
 //!
 //! [`ShardedQaServer`] partitions the template library by a stable hash
 //! of each template's NL pattern into `N` shards. Every shard is an
@@ -13,6 +14,10 @@
 //!   shard-0001/replica-00/
 //!   ...
 //! ```
+//!
+//! This is the only data-directory layout; `uqsj-cli snapshot` writes it
+//! with one shard and one replica. Opening a directory without `SHARDS`
+//! fails with [`StorageError::MissingTopology`].
 //!
 //! **Ingestion** fans a batch out to the owning shards: write locks are
 //! taken in ascending shard order (so concurrent batches and the
@@ -37,13 +42,11 @@
 //! snapshot, lost directory), and compacts all replicas to a fresh
 //! common generation — after which every replica of the shard is
 //! byte-equivalent again. Per shard, the adopted state is always the
-//! replay of one surviving WAL over its snapshot, exactly like the
-//! single-store engine.
+//! replay of one surviving WAL over its snapshot.
 
 use crate::cache::{normalize_question, AnswerCache};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::report::{QueryReport, SlowLog, StageReport};
-use crate::server::ServeConfig;
 use crate::store::TemplateStore;
 use parking_lot::{Mutex, RwLock};
 use std::path::{Path, PathBuf};
@@ -57,6 +60,21 @@ use uqsj_rdf::TripleStore;
 use uqsj_simjoin::cascade::{CascadeReport, CascadeRuntime};
 use uqsj_storage::{StorageEngine, StorageError};
 use uqsj_template::{answer_across, CandidateRef, QaOutcome, Template, TemplateLibrary};
+
+/// Serving knobs.
+#[derive(Clone, Copy, Debug)]
+pub struct ServeConfig {
+    /// Minimum matching proportion φ (Table 5's knob; 1.0 = full matches).
+    pub min_phi: f64,
+    /// Answer-cache capacity; 0 disables caching.
+    pub cache_capacity: usize,
+}
+
+impl Default for ServeConfig {
+    fn default() -> Self {
+        Self { min_phi: 1.0, cache_capacity: 1024 }
+    }
+}
 
 /// How many worst-latency reports the slow-query log retains.
 const SLOW_LOG_CAPACITY: usize = 32;
@@ -105,8 +123,8 @@ pub struct ShardedAnswer {
     pub shards_touched: usize,
 }
 
-/// A sharded, optionally replicated Q/A server: the serving core the
-/// `uqsj-net` HTTP front end wraps.
+/// A sharded, optionally replicated Q/A server: the one serving core,
+/// behind `uqsj-cli serve` and the `uqsj-net` HTTP front end alike.
 pub struct ShardedQaServer {
     shards: Vec<Shard>,
     lexicon: Arc<Lexicon>,
@@ -137,9 +155,14 @@ fn replica_dir(data_dir: &Path, shard: usize, replica: usize) -> PathBuf {
     shard_dir(data_dir, shard).join(format!("replica-{replica:02}"))
 }
 
-/// Parse the `SHARDS` topology file: `shards=N\nreplicas=R\n`.
+/// Parse the `SHARDS` topology file: `shards=N\nreplicas=R\n`. A
+/// directory without one is not a data directory at all.
 fn read_topology(data_dir: &Path) -> Result<(usize, usize), StorageError> {
-    let text = std::fs::read_to_string(data_dir.join(SHARDS_FILE))?;
+    let path = data_dir.join(SHARDS_FILE);
+    let text = std::fs::read_to_string(&path).map_err(|e| match e.kind() {
+        std::io::ErrorKind::NotFound => StorageError::MissingTopology { path },
+        _ => StorageError::Io(e),
+    })?;
     let mut shards = None;
     let mut replicas = None;
     for line in text.lines() {
@@ -448,35 +471,36 @@ impl ShardedQaServer {
         (ShardedAnswer { outcome: multi.outcome, shard: multi.library, shards_touched }, report)
     }
 
-    /// Answer a batch across worker threads; same contract as
-    /// [`crate::QaServer::answer_batch`] (the hint is clamped to
-    /// `1..=questions.len()`), with each answer routed through the
-    /// sharded path.
+    /// Answer a batch across worker threads. Output order matches input
+    /// order; each worker takes a contiguous chunk of the questions.
+    ///
+    /// # Contract
+    /// `threads` is a *hint*: it is clamped to `1..=questions.len()`
+    /// (never below one worker, never more workers than questions), so
+    /// `threads == 0`, oversized thread counts, and empty batches are all
+    /// well-defined and never spawn an idle worker.
     pub fn answer_batch(&self, questions: &[String], threads: usize) -> Vec<QaOutcome> {
         let threads = threads.max(1).min(questions.len().max(1));
-        if threads == 1 || questions.len() <= 1 {
+        if threads == 1 {
             return questions.iter().map(|q| self.answer(q).outcome).collect();
         }
         let chunk = questions.len().div_ceil(threads);
-        let slots: Vec<Mutex<Vec<QaOutcome>>> =
-            questions.chunks(chunk).map(|_| Mutex::new(Vec::new())).collect();
         // Re-install the caller's request context on each worker: the
         // batch's trace id (and EXPLAIN/deadline flags) must follow the
         // questions across threads for `events_for` and exemplars.
         let ctx = uqsj_obs::ctx::current();
-        crossbeam::thread::scope(|scope| {
-            for (ci, slice) in questions.chunks(chunk).enumerate() {
-                let slot = &slots[ci];
-                scope.spawn(move |_| {
-                    let _ctx = ctx.map(uqsj_obs::ctx::install);
-                    let outcomes: Vec<QaOutcome> =
-                        slice.iter().map(|q| self.answer(q).outcome).collect();
-                    *slot.lock() = outcomes;
-                });
-            }
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = questions
+                .chunks(chunk)
+                .map(|slice| {
+                    scope.spawn(move || {
+                        let _ctx = ctx.map(uqsj_obs::ctx::install);
+                        slice.iter().map(|q| self.answer(q).outcome).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers.into_iter().flat_map(|w| w.join().expect("answer worker panicked")).collect()
         })
-        .expect("answer worker panicked");
-        slots.into_iter().flat_map(Mutex::into_inner).collect()
     }
 
     /// Ingest a template batch. The batch is grouped by owning shard;
@@ -562,6 +586,15 @@ impl ShardedQaServer {
     /// Replica directories per shard (0 for an in-memory server).
     pub fn replica_count(&self) -> usize {
         self.replicas
+    }
+
+    /// The active storage generation of each shard's primary replica, in
+    /// shard order (empty for an in-memory server).
+    pub fn storage_generations(&self) -> Vec<u64> {
+        self.shards
+            .iter()
+            .filter_map(|s| s.replicas.first().map(|engine| engine.lock().generation()))
+            .collect()
     }
 
     /// Templates currently served, across all shards.

@@ -61,7 +61,7 @@ fn racing_answers_see_pre_or_post_ingest_library_never_torn() {
     let shards = 5usize;
     // No cache: every racing answer must hit the store, not a memoized
     // outcome (cache correctness is covered elsewhere).
-    let config = ServeConfig { min_phi: 1.0, cache_capacity: 0, bgp_eval: None };
+    let config = ServeConfig { min_phi: 1.0, cache_capacity: 0 };
 
     let server = ShardedQaServer::new(
         clone_library(&seed_library),

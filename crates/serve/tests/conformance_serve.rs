@@ -3,7 +3,8 @@
 //! from the same seed discipline as the rest of the conformance suite.
 
 use std::path::PathBuf;
-use uqsj_serve::{Ingestor, QaServer, ServeConfig, TemplateStore};
+use uqsj_rdf::{bgp, BgpEval};
+use uqsj_serve::{Ingestor, ServeConfig, ShardedQaServer};
 use uqsj_simjoin::{sim_join, JoinParams};
 use uqsj_template::{generate_template, QaOutcome, TemplateLibrary, TemplateSource};
 use uqsj_testkit::gen::qa_dataset;
@@ -34,12 +35,12 @@ fn batch_library(dataset: &Dataset, n: usize, params: JoinParams) -> TemplateLib
     library
 }
 
-fn store_of(library: &TemplateLibrary) -> TemplateStore {
+fn clone_library(library: &TemplateLibrary) -> TemplateLibrary {
     let mut clone = TemplateLibrary::new();
     for t in library.templates() {
         clone.add(t.clone());
     }
-    TemplateStore::from_library(clone)
+    clone
 }
 
 fn assert_same_outcome(got: &QaOutcome, want: &QaOutcome, context: &str) {
@@ -65,28 +66,30 @@ fn restart_and_compaction_preserve_answers_on_testkit_dataset() {
     let library = batch_library(&dataset, seed, params);
     assert!(!library.is_empty(), "no templates generated from the testkit dataset");
     let lexicon = dataset.kb.lexicon.clone();
-    let config = ServeConfig { min_phi: 1.0, cache_capacity: 64, bgp_eval: None };
+    let config = ServeConfig { min_phi: 1.0, cache_capacity: 64 };
 
-    let baseline =
-        QaServer::new(store_of(&library), lexicon.clone(), dataset.kb.triple_store(), config);
+    let baseline = ShardedQaServer::new(
+        clone_library(&library),
+        lexicon.clone(),
+        dataset.kb.triple_store(),
+        1,
+        config,
+    );
     let restart_dir = scratch_dir("restart");
     let compact_dir = scratch_dir("compact");
-    let durable = QaServer::create(
-        &restart_dir,
-        store_of(&library),
-        lexicon.clone(),
-        dataset.kb.triple_store(),
-        config,
-    )
-    .expect("bootstrap restart dir");
-    let compacting = QaServer::create(
-        &compact_dir,
-        store_of(&library),
-        lexicon.clone(),
-        dataset.kb.triple_store(),
-        config,
-    )
-    .expect("bootstrap compact dir");
+    let create = |dir| {
+        ShardedQaServer::create(
+            dir,
+            clone_library(&library),
+            lexicon.clone(),
+            dataset.kb.triple_store(),
+            1,
+            1,
+            config,
+        )
+    };
+    let durable = create(&restart_dir).expect("bootstrap restart dir");
+    let compacting = create(&compact_dir).expect("bootstrap compact dir");
 
     let mut ingestor = Ingestor::new(
         dataset.table.clone(),
@@ -119,12 +122,12 @@ fn restart_and_compaction_preserve_answers_on_testkit_dataset() {
     // compacted directory must recover past its folded generations too.
     drop(durable);
     drop(compacting);
-    let reopened = QaServer::open(&restart_dir, config).expect("recover restart dir");
-    let recompacted = QaServer::open(&compact_dir, config).expect("recover compact dir");
+    let reopened = ShardedQaServer::open(&restart_dir, config).expect("recover restart dir");
+    let recompacted = ShardedQaServer::open(&compact_dir, config).expect("recover compact dir");
     assert_eq!(reopened.template_count(), baseline.template_count());
     assert_eq!(recompacted.template_count(), baseline.template_count());
     assert!(
-        recompacted.storage_generation() > reopened.storage_generation(),
+        recompacted.storage_generations() > reopened.storage_generations(),
         "compaction never advanced the snapshot generation"
     );
 
@@ -135,52 +138,53 @@ fn restart_and_compaction_preserve_answers_on_testkit_dataset() {
         } else {
             base[i % base.len()].to_owned()
         };
-        let want = baseline.answer(&question);
-        assert_same_outcome(&reopened.answer(&question), &want, &format!("restart q{i}"));
-        assert_same_outcome(&recompacted.answer(&question), &want, &format!("compaction q{i}"));
+        let want = baseline.answer(&question).outcome;
+        let restarted = reopened.answer(&question).outcome;
+        assert_same_outcome(&restarted, &want, &format!("restart q{i}"));
+        let compacted = recompacted.answer(&question).outcome;
+        assert_same_outcome(&compacted, &want, &format!("compaction q{i}"));
     }
 
     let _ = std::fs::remove_dir_all(&restart_dir);
     let _ = std::fs::remove_dir_all(&compact_dir);
 }
 
-/// A server pinned to the nested-loop reference evaluator must answer
-/// every question identically to one on the default leapfrog join — the
-/// serving-layer face of the lftj ≡ reference oracle.
+/// Every served answer must equal what the nested-loop reference
+/// evaluator returns for the outcome's own SPARQL — on the single-question
+/// path and on the batch path. The serving-layer face of the
+/// lftj ≡ reference oracle.
 #[test]
-fn bgp_evaluator_choice_does_not_change_answers() {
+fn served_answers_equal_the_reference_evaluator() {
     let dataset = qa_dataset(77, 30, 20);
     let params = JoinParams::simj(1, 0.5);
     let library = batch_library(&dataset, dataset.pairs.len(), params);
     assert!(!library.is_empty(), "no templates generated from the testkit dataset");
-    let lexicon = dataset.kb.lexicon.clone();
-
-    let lftj = QaServer::new(
-        store_of(&library),
-        lexicon.clone(),
+    let triples = dataset.kb.triple_store();
+    let server = ShardedQaServer::new(
+        library,
+        dataset.kb.lexicon.clone(),
         dataset.kb.triple_store(),
-        ServeConfig { min_phi: 1.0, cache_capacity: 0, bgp_eval: Some(uqsj_rdf::BgpEval::Lftj) },
+        1,
+        ServeConfig { min_phi: 1.0, cache_capacity: 0 },
     );
-    let reference = QaServer::new(
-        store_of(&library),
-        lexicon,
-        dataset.kb.triple_store(),
-        ServeConfig {
-            min_phi: 1.0,
-            cache_capacity: 0,
-            bgp_eval: Some(uqsj_rdf::BgpEval::Reference),
-        },
-    );
+    let assert_reference = |got: &QaOutcome, context: &str| {
+        let Some(sparql) = &got.sparql else { return };
+        let want: Vec<String> = bgp::evaluate_with(&triples, sparql, BgpEval::Reference)
+            .into_iter()
+            .map(|row| row.join("\t"))
+            .collect();
+        assert_eq!(got.answers, want, "answers diverged from the reference: {context}");
+    };
 
+    let mut with_sparql = 0usize;
     for (i, pair) in dataset.pairs.iter().enumerate() {
-        let want = lftj.answer(&pair.question);
-        assert_same_outcome(&reference.answer(&pair.question), &want, &format!("q{i}"));
+        let got = server.answer(&pair.question).outcome;
+        with_sparql += usize::from(got.sparql.is_some());
+        assert_reference(&got, &format!("q{i}"));
     }
-    // The batch path installs the scoped override per worker thread too.
+    assert!(with_sparql > 0, "no question reached BGP evaluation");
     let questions: Vec<String> = dataset.pairs.iter().map(|p| p.question.clone()).collect();
-    let a = lftj.answer_batch(&questions, 4);
-    let b = reference.answer_batch(&questions, 4);
-    for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-        assert_same_outcome(y, x, &format!("batch q{i}"));
+    for (i, got) in server.answer_batch(&questions, 4).iter().enumerate() {
+        assert_reference(got, &format!("batch q{i}"));
     }
 }

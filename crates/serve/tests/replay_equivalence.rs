@@ -1,9 +1,9 @@
-//! Acceptance: replaying a 1,000-question stream through the indexed
-//! `QaServer` yields, for every single question, exactly the answer the
+//! Acceptance: replaying a 1,000-question stream through a one-shard
+//! `ShardedQaServer` yields, for every single question, exactly the answer the
 //! linear-scan `answer_question` baseline produces — while the signature
 //! filter keeps the measured candidate ratio strictly below 1.0.
 
-use uqsj_serve::{QaServer, ServeConfig, TemplateStore};
+use uqsj_serve::{ServeConfig, ShardedQaServer};
 use uqsj_simjoin::{sim_join, JoinParams};
 use uqsj_template::{
     answer_question, generate_template, QaOutcome, TemplateLibrary, TemplateSource,
@@ -53,11 +53,12 @@ fn thousand_question_replay_matches_linear_scan() {
     assert!(!library.is_empty(), "no templates to serve");
     let lexicon = dataset.kb.lexicon.clone();
     let triples = dataset.kb.triple_store();
-    let config = ServeConfig { min_phi: 1.0, cache_capacity: 256, bgp_eval: None };
-    let server = QaServer::new(
-        TemplateStore::from_library(clone_library(&library)),
+    let config = ServeConfig { min_phi: 1.0, cache_capacity: 256 };
+    let server = ShardedQaServer::new(
+        clone_library(&library),
         lexicon.clone(),
         dataset.kb.triple_store(),
+        1,
         config,
     );
 
@@ -73,7 +74,7 @@ fn thousand_question_replay_matches_linear_scan() {
     }
 
     for (i, q) in stream.iter().enumerate() {
-        let got = server.answer(q);
+        let got = server.answer(q).outcome;
         let want = answer_question(&library, &lexicon, &triples, q, config.min_phi);
         assert_same_outcome(&got, &want, &format!("question #{i}: {q:?}"));
     }
@@ -98,17 +99,18 @@ fn partial_match_serving_matches_linear_scan() {
     let lexicon = dataset.kb.lexicon.clone();
     let triples = dataset.kb.triple_store();
     // Cache off so every question exercises the filtered ranking path.
-    let config = ServeConfig { min_phi: 0.5, cache_capacity: 0, bgp_eval: None };
-    let server = QaServer::new(
-        TemplateStore::from_library(clone_library(&library)),
+    let config = ServeConfig { min_phi: 0.5, cache_capacity: 0 };
+    let server = ShardedQaServer::new(
+        clone_library(&library),
         lexicon.clone(),
         dataset.kb.triple_store(),
+        1,
         config,
     );
     for (i, p) in dataset.pairs.iter().enumerate() {
         let noisy = format!("{} according to the records", p.question);
         for q in [p.question.as_str(), noisy.as_str()] {
-            let got = server.answer(q);
+            let got = server.answer(q).outcome;
             let want = answer_question(&library, &lexicon, &triples, q, config.min_phi);
             assert_same_outcome(&got, &want, &format!("question #{i}: {q:?}"));
         }
@@ -120,14 +122,9 @@ fn batch_answers_equal_sequential_answers() {
     let (dataset, library) = build(30);
     let lexicon = dataset.kb.lexicon.clone();
     let triples = dataset.kb.triple_store();
-    let server = QaServer::new(
-        TemplateStore::from_library(library),
-        lexicon,
-        triples,
-        ServeConfig::default(),
-    );
+    let server = ShardedQaServer::new(library, lexicon, triples, 1, ServeConfig::default());
     let questions: Vec<String> = dataset.pairs.iter().map(|p| p.question.clone()).collect();
-    let sequential: Vec<_> = questions.iter().map(|q| server.answer(q)).collect();
+    let sequential: Vec<_> = questions.iter().map(|q| server.answer(q).outcome).collect();
     let batch = server.answer_batch(&questions, 4);
     assert_eq!(batch.len(), sequential.len());
     for (i, (got, want)) in batch.iter().zip(&sequential).enumerate() {

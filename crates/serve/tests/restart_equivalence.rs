@@ -1,10 +1,11 @@
-//! Restart equivalence (ISSUE 2 acceptance): a durable `QaServer` that
+//! Restart equivalence (ISSUE 2 acceptance): a durable one-shard
+//! `ShardedQaServer` that
 //! ingests questions, shuts down, and reopens from its data directory
 //! answers a 200-question replay *identically* to a server that never
 //! restarted.
 
 use std::path::PathBuf;
-use uqsj_serve::{Ingestor, QaServer, ServeConfig, TemplateStore};
+use uqsj_serve::{Ingestor, ServeConfig, ShardedQaServer};
 use uqsj_simjoin::{sim_join, JoinParams};
 use uqsj_template::{generate_template, QaOutcome, TemplateLibrary, TemplateSource};
 use uqsj_workload::{qald_like, Dataset, DatasetConfig};
@@ -35,12 +36,12 @@ fn batch_library(dataset: &Dataset, n: usize, params: JoinParams) -> TemplateLib
     library
 }
 
-fn store_of(library: &TemplateLibrary) -> TemplateStore {
+fn clone_library(library: &TemplateLibrary) -> TemplateLibrary {
     let mut clone = TemplateLibrary::new();
     for t in library.templates() {
         clone.add(t.clone());
     }
-    TemplateStore::from_library(clone)
+    clone
 }
 
 fn assert_same_outcome(got: &QaOutcome, want: &QaOutcome, context: &str) {
@@ -64,21 +65,28 @@ fn reopened_server_replays_identically_to_uninterrupted_one() {
     let library = batch_library(&dataset, seed, params);
     assert!(!library.is_empty(), "no templates to seed the server");
     let lexicon = dataset.kb.lexicon.clone();
-    let config = ServeConfig { min_phi: 1.0, cache_capacity: 128, bgp_eval: None };
+    let config = ServeConfig { min_phi: 1.0, cache_capacity: 128 };
 
     // Two servers with the same seed state: one in-memory (never
     // restarted), one durable in the data directory.
-    let baseline =
-        QaServer::new(store_of(&library), lexicon.clone(), dataset.kb.triple_store(), config);
-    let durable = QaServer::create(
-        &dir,
-        store_of(&library),
+    let baseline = ShardedQaServer::new(
+        clone_library(&library),
         lexicon.clone(),
         dataset.kb.triple_store(),
+        1,
+        config,
+    );
+    let durable = ShardedQaServer::create(
+        &dir,
+        clone_library(&library),
+        lexicon.clone(),
+        dataset.kb.triple_store(),
+        1,
+        1,
         config,
     )
     .expect("bootstrap data dir");
-    assert_eq!(durable.storage_generation(), Some(1));
+    assert_eq!(durable.storage_generations(), vec![1]);
 
     // The remaining questions arrive online; both servers ingest the
     // same templates. The durable one journals each batch to its WAL.
@@ -105,7 +113,7 @@ fn reopened_server_replays_identically_to_uninterrupted_one() {
     // Kill the durable server (drop = no shutdown hook, like a crash
     // after the last acknowledged ingest) and recover from disk.
     drop(durable);
-    let reopened = QaServer::open(&dir, config).expect("recover from data dir");
+    let reopened = ShardedQaServer::open(&dir, config).expect("recover from data dir");
     assert_eq!(reopened.template_count(), baseline.template_count());
 
     // 200-question replay: every dataset question plus periodic misses.
@@ -116,21 +124,22 @@ fn reopened_server_replays_identically_to_uninterrupted_one() {
         } else {
             base[i % base.len()].to_owned()
         };
-        let got = reopened.answer(&question);
-        let want = baseline.answer(&question);
+        let got = reopened.answer(&question).outcome;
+        let want = baseline.answer(&question).outcome;
         assert_same_outcome(&got, &want, &format!("replay #{i}: {question:?}"));
     }
 
     // Compacting the recovered state and reopening once more still
-    // serves the same answers (WAL folded into the new snapshot).
-    let generation = reopened.compact().expect("compact").expect("durable server");
-    assert_eq!(generation, 2);
+    // serves the same answers (WAL folded into the new snapshot). Opening
+    // already converged the replicas on generation 2, so this is 3.
+    let generation = reopened.compact().expect("compact");
+    assert_eq!(generation, vec![3]);
     drop(reopened);
-    let recompacted = QaServer::open(&dir, config).expect("reopen after compaction");
+    let recompacted = ShardedQaServer::open(&dir, config).expect("reopen after compaction");
     assert_eq!(recompacted.template_count(), baseline.template_count());
     for question in base.iter().take(40) {
-        let got = recompacted.answer(question);
-        let want = baseline.answer(question);
+        let got = recompacted.answer(question).outcome;
+        let want = baseline.answer(question).outcome;
         assert_same_outcome(&got, &want, &format!("post-compaction: {question:?}"));
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -94,7 +94,7 @@ fn sharded_answers_equal_canonical_library_for_any_shard_count() {
     let library = batch_library(&dataset, 40, params);
     assert!(library.len() >= 4, "need a non-trivial library, got {}", library.len());
     let lexicon = dataset.kb.lexicon.clone();
-    let config = ServeConfig { min_phi: 1.0, cache_capacity: 0, bgp_eval: None };
+    let config = ServeConfig { min_phi: 1.0, cache_capacity: 0 };
 
     for shards in [1usize, 2, 4, 7] {
         let server = ShardedQaServer::new(
@@ -135,7 +135,7 @@ fn reopened_sharded_directory_answers_like_an_uninterrupted_server() {
     let full_library = batch_library(&dataset, 40, params);
     assert!(full_library.len() > seed_library.len(), "need templates to ingest");
     let lexicon = dataset.kb.lexicon.clone();
-    let config = ServeConfig { min_phi: 1.0, cache_capacity: 64, bgp_eval: None };
+    let config = ServeConfig { min_phi: 1.0, cache_capacity: 64 };
 
     let uninterrupted = ShardedQaServer::new(
         clone_library(&seed_library),
@@ -190,7 +190,7 @@ fn cached_answers_keep_shard_attribution() {
     let library = batch_library(&dataset, 40, params);
     assert!(library.len() >= 4);
     let lexicon = dataset.kb.lexicon.clone();
-    let config = ServeConfig { min_phi: 1.0, cache_capacity: 8, bgp_eval: None };
+    let config = ServeConfig { min_phi: 1.0, cache_capacity: 8 };
     let server = ShardedQaServer::new(
         clone_library(&library),
         lexicon,
@@ -226,7 +226,7 @@ fn recovery_survives_a_corrupted_replica_per_shard() {
     let library = batch_library(&dataset, 30, params);
     assert!(!library.is_empty());
     let lexicon = dataset.kb.lexicon.clone();
-    let config = ServeConfig { min_phi: 1.0, cache_capacity: 0, bgp_eval: None };
+    let config = ServeConfig { min_phi: 1.0, cache_capacity: 0 };
 
     let durable = ShardedQaServer::create(
         &dir,

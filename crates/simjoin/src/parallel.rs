@@ -1,5 +1,5 @@
 //! Parallel SimJ driver: workers pull uncertain graphs off a shared
-//! atomic index (work stealing) under `crossbeam::scope`. Per-pair cost is
+//! atomic index (work stealing) under `std::thread::scope`. Per-pair cost is
 //! heavily skewed — one expensive many-world uncertain graph can dwarf the
 //! rest of the workload — so static chunking would serialize whole chunks
 //! behind it; with dynamic dispatch the tail is bounded by one graph, not
@@ -46,12 +46,12 @@ pub fn sim_join_parallel(
     // selectivity/cost estimates through its atomics and pick up adopted
     // plans through their per-worker cursors on the next epoch check.
     let cascade = CascadeRuntime::new(params.cascade, params.strategy);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads.min(u.len()) {
             let shared = &shared;
             let next = &next;
             let cascade = &cascade;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut local = Vec::new();
                 let mut stats = JoinStats::default();
                 // One search workspace per worker, reused across all the
@@ -82,8 +82,7 @@ pub fn sim_join_parallel(
                 guard.1.merge(&stats);
             });
         }
-    })
-    .expect("join worker panicked");
+    });
     let (mut matches, mut stats) = shared.into_inner();
     stats.wall_time = started.elapsed();
     stats.cascade = Some(cascade.report());

@@ -4,6 +4,7 @@
 //! moved".
 
 use std::fmt;
+use std::path::PathBuf;
 
 /// Why the storage engine refused a file or an operation.
 #[derive(Debug)]
@@ -39,6 +40,12 @@ pub enum StorageError {
         /// What was being decoded and what went wrong.
         context: String,
     },
+    /// The data directory has no `SHARDS` topology file: it is absent,
+    /// empty, or was written in some other layout.
+    MissingTopology {
+        /// The topology file that was expected.
+        path: PathBuf,
+    },
 }
 
 impl fmt::Display for StorageError {
@@ -56,6 +63,12 @@ impl fmt::Display for StorageError {
                 "section {section} checksum mismatch: recorded {expected:#010x}, computed {actual:#010x}"
             ),
             StorageError::Corrupt { context } => write!(f, "corrupt storage: {context}"),
+            StorageError::MissingTopology { path } => write!(
+                f,
+                "{} not found: not a uqsj data directory; re-run `uqsj-cli snapshot` \
+                 to write one",
+                path.display()
+            ),
         }
     }
 }
