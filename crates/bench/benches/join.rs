@@ -297,7 +297,7 @@ fn cascade_showdown_json() -> String {
         } else {
             match_sets[mode] = Some(set);
         }
-        if best[mode].as_ref().map_or(true, |(t, _)| elapsed < *t) {
+        if best[mode].as_ref().is_none_or(|(t, _)| elapsed < *t) {
             best[mode] = Some((elapsed, stats));
         }
     }

@@ -39,7 +39,7 @@ fn main() {
             alpha,
             secs(simj.pruning_time),
             secs(simj.verification_time),
-            secs(simj.response_time()),
+            secs(simj.cpu_time()),
             pct(css.candidate_ratio()),
             pct(simj.candidate_ratio()),
             pct(opt.candidate_ratio()),

@@ -60,7 +60,7 @@ fn main() {
             gn,
             secs(opt.pruning_time),
             secs(opt.verification_time),
-            secs(opt.response_time()),
+            secs(opt.cpu_time()),
             opt.candidates,
             pct(opt.candidate_ratio()),
         );

@@ -30,7 +30,7 @@ fn main() {
                 tau,
                 result.matches.len(),
                 precision * 100.0,
-                secs(result.stats.response_time()),
+                secs(result.stats.cpu_time()),
                 result.library.len()
             );
         }

@@ -1,6 +1,6 @@
 //! Incremental workload ingestion: a newly arriving NL question is joined
 //! against the existing SPARQL workload `D` through the size-signature
-//! `JoinIndex` — one `join_one` call instead of re-running the full
+//! `JoinIndex` — one `join_one_in` call instead of re-running the full
 //! `|D| × |U|` batch join — and the qualifying pairs become templates for
 //! the live store. Processing new questions one at a time in arrival
 //! order reproduces exactly the library a full batch re-join over the

@@ -29,7 +29,7 @@ pub struct StageReport {
 }
 
 /// The join-side section of a report: everything `JoinStats` knows about
-/// one `join_one` call, reshaped as a funnel. Present on ingest-path
+/// one `join_one_in` call, reshaped as a funnel. Present on ingest-path
 /// reports (`uqsj-cli join --explain`); absent on pure serving answers,
 /// which never run the similarity join.
 #[derive(Clone, Debug, Default)]

@@ -1,5 +1,5 @@
 //! Acceptance: incremental ingestion — joining each newly arriving
-//! question against `D` one at a time through `JoinIndex::join_one` —
+//! question against `D` one at a time through `JoinIndex::join_one_in` —
 //! reproduces *exactly* the matches and the template library a full batch
 //! re-join over the augmented workload builds.
 

@@ -225,7 +225,7 @@ pub(crate) enum CascadeOutcome {
 
 /// Shared cascade state for one join run: the enrolled stages, their
 /// online estimates, and the current plan. One runtime is shared by all
-/// workers of a parallel join (everything hot is atomic; the plan itself
+/// workers of a join (everything hot is atomic; the plan itself
 /// sits behind a mutex that workers only touch on epoch changes) and can
 /// outlive a single driver call — the serving ingestor keeps one across
 /// questions so adaptation accumulates.

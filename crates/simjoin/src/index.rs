@@ -54,38 +54,12 @@ impl<'a> JoinIndex<'a> {
     /// `g_index` is stamped into the produced matches. Matches come back
     /// sorted by `q_index`, the same order a full batch join visits them,
     /// so downstream template insertion is order-identical to a re-join.
-    pub fn join_one(
-        &self,
-        table: &SymbolTable,
-        g_index: usize,
-        g: &UncertainGraph,
-        params: JoinParams,
-    ) -> (Vec<JoinMatch>, JoinStats) {
-        let mut engine = GedEngine::new();
-        self.join_one_with(&mut engine, table, g_index, g, params)
-    }
-
-    /// [`JoinIndex::join_one`] on a caller-owned [`GedEngine`], so a
-    /// long-lived ingester reuses one workspace across every question.
-    /// Builds a fresh cascade runtime per call; use
-    /// [`JoinIndex::join_one_in`] to keep planner state across questions.
-    pub fn join_one_with(
-        &self,
-        engine: &mut GedEngine,
-        table: &SymbolTable,
-        g_index: usize,
-        g: &UncertainGraph,
-        params: JoinParams,
-    ) -> (Vec<JoinMatch>, JoinStats) {
-        let cascade = CascadeRuntime::new(params.cascade, params.strategy);
-        let mut cursor = CascadeCursor::new();
-        self.join_one_in(engine, &cascade, &mut cursor, table, g_index, g, params)
-    }
-
-    /// [`JoinIndex::join_one_with`] against a caller-owned cascade
-    /// runtime. A streaming ingester keeps one runtime (and cursor) for
-    /// its lifetime, so the adaptive planner's estimates accumulate
-    /// across questions instead of restarting cold on every arrival.
+    ///
+    /// The caller owns the [`GedEngine`], the cascade runtime and the
+    /// cursor: a streaming ingester keeps all three for its lifetime, so
+    /// it reuses one search workspace and the adaptive planner's
+    /// estimates accumulate across questions instead of restarting cold
+    /// on every arrival.
     #[allow(clippy::too_many_arguments)] // streaming driver's full context
     pub fn join_one_in(
         &self,
@@ -163,7 +137,6 @@ impl<'a> JoinIndex<'a> {
 mod tests {
     use super::*;
     use crate::join::sim_join;
-    use crate::parallel::sim_join_parallel;
     use uqsj_graph::GraphBuilder;
 
     fn workload(t: &mut SymbolTable) -> (Vec<Graph>, Vec<UncertainGraph>) {
@@ -217,22 +190,33 @@ mod tests {
 
     #[test]
     fn indexed_join_matches_plain_join() {
-        // `sim_join` enumerates through the index; the parallel driver
-        // still scans every pair through the cascade.
+        // `sim_join` enumerates through the index; the reference is an
+        // all-pairs brute force: every pair counted, the size bound
+        // evaluated on each, exact SimP deciding membership.
+        use uqsj_ged::bounds::{size::SizeBound, LowerBound};
+        use uqsj_uncertain::similarity_probability;
         let mut t = SymbolTable::new();
         let (d, u) = workload(&mut t);
         for tau in 0..3u32 {
-            let params = JoinParams::simj(tau, 0.3);
-            let (indexed, istats) = sim_join(&t, &d, &u, params);
-            let (plain, pstats) = sim_join_parallel(&t, &d, &u, params, 2);
-            let key = |m: &JoinMatch| (m.g_index, m.q_index);
-            let mut a: Vec<_> = plain.iter().map(key).collect();
-            a.sort_unstable();
-            let b: Vec<_> = indexed.iter().map(key).collect();
-            assert_eq!(a, b, "tau={tau}");
-            assert_eq!(pstats.pairs_total, istats.pairs_total);
-            assert_eq!(pstats.results, istats.results);
-            assert_eq!(pstats.pruned_size(), istats.pruned_size(), "tau={tau}");
+            let alpha = 0.3;
+            let (indexed, stats) = sim_join(&t, &d, &u, JoinParams::simj(tau, alpha));
+            let mut size_pruned = 0u64;
+            let mut expected = Vec::new();
+            for (gi, g) in u.iter().enumerate() {
+                for (qi, q) in d.iter().enumerate() {
+                    if SizeBound.uncertain(&t, q, g) > tau {
+                        size_pruned += 1;
+                    }
+                    if similarity_probability(&t, q, g, tau) >= alpha {
+                        expected.push((gi, qi));
+                    }
+                }
+            }
+            let got: Vec<_> = indexed.iter().map(|m| (m.g_index, m.q_index)).collect();
+            assert_eq!(got, expected, "tau={tau}");
+            assert_eq!(stats.pairs_total, (d.len() * u.len()) as u64, "tau={tau}");
+            assert_eq!(stats.results, expected.len() as u64, "tau={tau}");
+            assert_eq!(stats.pruned_size(), size_pruned, "tau={tau}");
         }
     }
 }

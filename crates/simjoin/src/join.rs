@@ -5,6 +5,7 @@ use crate::cascade::{CascadeCursor, CascadeOutcome, CascadePolicy, CascadeRuntim
 use crate::index::JoinIndex;
 use crate::obs::join_obs;
 use crate::stats::JoinStats;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use uqsj_ged::astar::GedResult;
 use uqsj_ged::GedEngine;
@@ -89,8 +90,9 @@ pub struct JoinMatch {
     pub world_prob: f64,
 }
 
-/// Run SimJ over `d × u`. Returns the qualifying pairs, ordered by
-/// `(g_index, q_index)`, and the join statistics.
+/// Run SimJ over `d × u` on every core this process may use. Returns the
+/// qualifying pairs, ordered by `(g_index, q_index)`, and the join
+/// statistics.
 pub fn sim_join(
     table: &SymbolTable,
     d: &[Graph],
@@ -106,10 +108,9 @@ pub fn sim_join(
 /// estimates. The runtime must have been built with the same strategy as
 /// `params.strategy`.
 ///
-/// Candidates come from a [`JoinIndex`] over `d`: pairs outside an
-/// uncertain graph's size window never enter the cascade and are
-/// credited to the `size` stage, so every count matches an all-pairs
-/// scan under the fixed cascade.
+/// Runs [`std::thread::available_parallelism`] workers (which respects
+/// CPU affinity and cgroup quotas), capped at `|U|`. The output — match
+/// list, order, counters — does not depend on that count.
 pub fn sim_join_in(
     cascade: &CascadeRuntime,
     table: &SymbolTable,
@@ -117,30 +118,86 @@ pub fn sim_join_in(
     u: &[UncertainGraph],
     params: JoinParams,
 ) -> (Vec<JoinMatch>, JoinStats) {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    drive(cascade, table, d, u, params, workers)
+}
+
+/// The one SimJ driver behind [`sim_join_in`] and
+/// [`crate::sim_join_parallel`]: `workers` threads claim uncertain graphs
+/// off a shared atomic index (work stealing) and join each one through a
+/// [`JoinIndex`] over `d`, so pairs outside a graph's size window never
+/// enter the cascade and are credited to the `size` stage.
+///
+/// Per-pair cost is heavily skewed — one many-world uncertain graph can
+/// dwarf the rest — so static chunking would serialize whole chunks
+/// behind it; with dynamic dispatch the tail is bounded by one graph.
+/// Each worker owns its [`GedEngine`] and [`CascadeCursor`]; all share
+/// `cascade`. Every graph's matches and counters are kept apart and
+/// concatenated/merged in `g_index` order, so the match list, its order
+/// and (under the fixed cascade) every counter equal a one-worker run.
+/// One worker runs on the calling thread.
+///
+/// `pruning_time`/`verification_time` stay summed per-pair CPU times;
+/// [`JoinStats::wall_time`] is this call's elapsed time.
+pub(crate) fn drive(
+    cascade: &CascadeRuntime,
+    table: &SymbolTable,
+    d: &[Graph],
+    u: &[UncertainGraph],
+    params: JoinParams,
+    workers: usize,
+) -> (Vec<JoinMatch>, JoinStats) {
+    let started = Instant::now();
     let index = JoinIndex::build(d);
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut engine = GedEngine::new();
+        let mut cursor = CascadeCursor::new();
+        let mut done = Vec::new();
+        loop {
+            let gi = next.fetch_add(1, Ordering::Relaxed);
+            let Some(g) = u.get(gi) else { break };
+            let mut out = Vec::new();
+            let mut stats = JoinStats::default();
+            index.join_into(
+                &mut engine,
+                cascade,
+                &mut cursor,
+                table,
+                gi,
+                g,
+                params,
+                &mut out,
+                &mut stats,
+            );
+            done.push((gi, out, stats));
+        }
+        done
+    };
+    let workers = workers.min(u.len());
+    let mut done = if workers <= 1 {
+        work()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            let joined = handles.into_iter().map(|h| h.join());
+            joined.flat_map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e))).collect()
+        })
+    };
+    done.sort_unstable_by_key(|&(gi, ..)| gi);
     let mut out = Vec::new();
     let mut stats = JoinStats::default();
-    // One search workspace for the whole candidate stream.
-    let mut engine = GedEngine::new();
-    let mut cursor = CascadeCursor::new();
-    for (gi, g) in u.iter().enumerate() {
-        index.join_into(
-            &mut engine,
-            cascade,
-            &mut cursor,
-            table,
-            gi,
-            g,
-            params,
-            &mut out,
-            &mut stats,
-        );
+    for (_, mut matches, graph_stats) in done {
+        out.append(&mut matches);
+        stats.merge(&graph_stats);
     }
+    stats.wall_time = started.elapsed();
     stats.cascade = Some(cascade.report());
     (out, stats)
 }
 
-/// Process a single pair; shared by the sequential and parallel drivers.
+/// Process a single pair; shared by the batch driver and the streaming
+/// ingester (both through [`JoinIndex`]).
 #[allow(clippy::too_many_arguments)] // the join loop's full context
 pub(crate) fn join_pair(
     engine: &mut GedEngine,
@@ -172,8 +229,8 @@ pub(crate) fn join_pair(
 
     // Refinement (lines 7-15), dispatched to the exact or sampling tier
     // by the policy. The sub-seed is a pure function of the pair indices,
-    // so sampled decisions are identical whichever driver — sequential,
-    // parallel, streaming — reaches the pair, and replayable from
+    // so sampled decisions are identical whichever worker — or the
+    // streaming ingester — reaches the pair, and replayable from
     // `params.simp.seed` alone.
     stats.candidates += 1;
     obs.candidates.inc();
@@ -341,7 +398,7 @@ mod tests {
         let mut t = SymbolTable::new();
         let (d, u) = workload(&mut t);
         let (_, stats) = sim_join(&t, &d, &u, JoinParams::simj(1, 0.5));
-        let report = stats.cascade.expect("sequential driver stamps the report");
+        let report = stats.cascade.expect("the driver stamps the report");
         assert_eq!(report.pairs_seen + report.pairs_skipped, stats.pairs_total);
         assert_eq!(report.plan.first(), Some(&"size"));
     }

@@ -17,14 +17,14 @@ use std::time::Duration;
 ///
 /// [`JoinStats::pruning_time`] and [`JoinStats::verification_time`] are
 /// *CPU* times: per-pair elapsed intervals summed over every pair the run
-/// touched, regardless of which worker touched it. In the sequential
-/// driver ([`crate::sim_join`]) this equals wall-clock time — the paper's
-/// experiments are single-threaded, so the summed accounting is the
-/// paper-faithful figure. The parallel driver
-/// ([`crate::sim_join_parallel`]) additionally stamps
-/// [`JoinStats::wall_time`] with the driver's true elapsed time;
-/// [`JoinStats::response_time`] prefers it when set, so a parallel run no
-/// longer reports a "response time" larger than the time it actually took.
+/// touched, regardless of which worker touched it. Their sum,
+/// [`JoinStats::cpu_time`], is the paper's single-threaded accounting
+/// (its experiments are sequential, so there the sum *is* the response
+/// time). The join driver ([`crate::sim_join`]) runs several workers
+/// whose intervals overlap, so it also stamps [`JoinStats::wall_time`]
+/// with its true elapsed time; [`JoinStats::response_time`] prefers it
+/// when set, so a run never reports a "response time" larger than the
+/// time it actually took.
 #[derive(Clone, Debug, Default)]
 pub struct JoinStats {
     /// `|D| × |U|`.
@@ -56,9 +56,9 @@ pub struct JoinStats {
     pub pruning_time: Duration,
     /// CPU time spent in the refinement (verification) phase.
     pub verification_time: Duration,
-    /// True elapsed time of the driving call, set only by drivers whose
-    /// workers overlap (zero means "not measured": sequential runs, where
-    /// [`JoinStats::cpu_time`] already *is* the wall clock).
+    /// True elapsed time of the driving call, stamped by the join driver
+    /// (zero means "not measured", e.g. one streaming
+    /// [`crate::JoinIndex::join_one_in`] call).
     pub wall_time: Duration,
     /// Final cascade-planner snapshot (chosen plan, per-stage
     /// selectivity/cost), stamped by the drivers when the run ends.
@@ -154,9 +154,8 @@ impl JoinStats {
         self.pruning_time + self.verification_time
     }
 
-    /// Total response time: the driver's wall clock when measured
-    /// (parallel runs), otherwise the summed CPU time (sequential runs,
-    /// where the two coincide).
+    /// Total response time: the driver's wall clock when measured,
+    /// otherwise the summed CPU time.
     pub fn response_time(&self) -> Duration {
         if self.wall_time > Duration::ZERO {
             self.wall_time
@@ -165,8 +164,8 @@ impl JoinStats {
         }
     }
 
-    /// Merge another run's counters into this one (used by the parallel
-    /// driver). Counters and CPU times
+    /// Merge another run's counters into this one (the join driver merges
+    /// one per uncertain graph). Counters and CPU times
     /// add; `wall_time` max-merges, because concurrent workers' elapsed
     /// intervals overlap — summing them would double-count the clock.
     pub fn merge(&mut self, other: &JoinStats) {

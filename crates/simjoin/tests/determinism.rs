@@ -1,11 +1,11 @@
 //! Determinism and index-boundary guarantees the serving layer relies on:
-//! the parallel join must be byte-for-byte interchangeable with the
-//! sequential one, and the size-signature window must cut exactly at τ.
+//! the join's output must not depend on its worker count, and the
+//! size-signature window must cut exactly at τ.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use uqsj_graph::{Graph, GraphBuilder, SymbolTable, UncertainGraph};
-use uqsj_simjoin::{sim_join, sim_join_parallel, JoinIndex, JoinParams};
+use uqsj_simjoin::{sim_join, sim_join_parallel, JoinIndex, JoinMatch, JoinParams, JoinStats};
 
 const LABELS: [&str; 4] = ["Actor", "Band", "Film", "Country"];
 const PREDICATES: [&str; 3] = ["type", "starring", "memberOf"];
@@ -48,25 +48,49 @@ fn random_uncertain(t: &mut SymbolTable, rng: &mut SmallRng) -> UncertainGraph {
     b.into_uncertain()
 }
 
-/// Satellite: `sim_join_parallel` with 4 threads must return *exactly* the
-/// same `Vec<JoinMatch>` (order, probabilities, mappings) as the
-/// sequential join, on a randomly generated workload.
+/// The join's output must not depend on its worker count: 1, 2, 3, 4 and
+/// 8 workers return exactly the same `Vec<JoinMatch>` (order, probability
+/// bits, mappings) and the same counters as `sim_join`, on a randomly
+/// generated workload, run after run.
 #[test]
 fn parallel_join_is_deterministic_and_equals_sequential() {
     let mut rng = SmallRng::seed_from_u64(0x5eed_u64);
     let mut t = SymbolTable::new();
     let d: Vec<Graph> = (0..12).map(|_| random_graph(&mut t, &mut rng)).collect();
     let u: Vec<UncertainGraph> = (0..9).map(|_| random_uncertain(&mut t, &mut rng)).collect();
+    let bits = |ms: &[JoinMatch]| -> Vec<(u64, u64)> {
+        ms.iter().map(|m| (m.prob.to_bits(), m.world_prob.to_bits())).collect()
+    };
+    let counts = |s: &JoinStats| {
+        (
+            s.pairs_total,
+            s.candidates,
+            s.results,
+            s.worlds_verified,
+            s.ged_expanded,
+            s.pruned_stages().to_vec(),
+            s.stop_reasons().to_vec(),
+        )
+    };
     for tau in [0u32, 1, 2] {
         let params = JoinParams::simj(tau, 0.3);
-        let (seq, seq_stats) = sim_join(&t, &d, &u, params);
-        let (par, par_stats) = sim_join_parallel(&t, &d, &u, params, 4);
-        assert_eq!(seq, par, "tau={tau}: full match payloads must agree");
-        // And a second run is bit-identical to the first.
-        let (par2, _) = sim_join_parallel(&t, &d, &u, params, 4);
-        assert_eq!(par, par2, "tau={tau}: parallel join must be deterministic");
-        assert_eq!(seq_stats.pairs_total, par_stats.pairs_total);
-        assert_eq!(seq_stats.results, par_stats.results);
+        let (seq, seq_stats) = sim_join_parallel(&t, &d, &u, params, 1);
+        let (default, default_stats) = sim_join(&t, &d, &u, params);
+        assert_eq!(seq, default, "tau={tau}: sim_join differs from one worker");
+        assert_eq!(bits(&seq), bits(&default));
+        assert_eq!(counts(&seq_stats), counts(&default_stats));
+        for workers in [2usize, 3, 4, 8] {
+            for run in 0..2 {
+                let (par, par_stats) = sim_join_parallel(&t, &d, &u, params, workers);
+                assert_eq!(seq, par, "tau={tau} workers={workers} run={run}: matches differ");
+                assert_eq!(bits(&seq), bits(&par), "tau={tau} workers={workers}: prob bits");
+                assert_eq!(
+                    counts(&seq_stats),
+                    counts(&par_stats),
+                    "tau={tau} workers={workers}: counters differ"
+                );
+            }
+        }
     }
 }
 

@@ -3,6 +3,7 @@
 //! ever lost (completeness against brute force).
 
 use proptest::prelude::*;
+use uqsj_ged::bounds::{size::SizeBound, LowerBound};
 use uqsj_graph::{Graph, LabelAlternative, SymbolTable, UncertainGraph, UncertainVertex, VertexId};
 use uqsj_simjoin::{sim_join, sim_join_parallel, JoinParams, JoinStrategy};
 use uqsj_uncertain::similarity_probability;
@@ -137,24 +138,27 @@ proptest! {
         raw in workload_strategy(),
         tau in 0u32..3,
     ) {
-        // `sim_join` enumerates through the size index; the parallel
-        // driver still runs every pair through the (fixed) cascade.
+        // `sim_join` enumerates through the size index; the reference is
+        // an all-pairs brute force over the size bound and exact SimP.
         let (t, d, u) = build(&raw);
-        let params = JoinParams::simj(tau, 0.4);
-        let (indexed, is_) = sim_join(&t, &d, &u, params);
-        let (plain, ps) = uqsj_simjoin::sim_join_parallel(&t, &d, &u, params, 2);
-        let key = |m: &uqsj_simjoin::JoinMatch| (m.g_index, m.q_index);
-        let mut a: Vec<_> = plain.iter().map(key).collect();
-        a.sort_unstable();
-        let b: Vec<_> = indexed.iter().map(key).collect();
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(ps.pairs_total, is_.pairs_total);
-        let stages = |s: &uqsj_simjoin::JoinStats| {
-            let mut v: Vec<_> = s.pruned_stages().iter().filter(|(_, n)| *n > 0).copied().collect();
-            v.sort_unstable();
-            v
-        };
-        prop_assert_eq!(stages(&ps), stages(&is_));
+        let alpha = 0.4;
+        let (indexed, stats) = sim_join(&t, &d, &u, JoinParams::simj(tau, alpha));
+        let mut size_pruned = 0u64;
+        let mut expected = Vec::new();
+        for (gi, g) in u.iter().enumerate() {
+            for (qi, q) in d.iter().enumerate() {
+                if SizeBound.uncertain(&t, q, g) > tau {
+                    size_pruned += 1;
+                }
+                if similarity_probability(&t, q, g, tau) >= alpha {
+                    expected.push((gi, qi));
+                }
+            }
+        }
+        let got: Vec<_> = indexed.iter().map(|m| (m.g_index, m.q_index)).collect();
+        prop_assert_eq!(got, expected);
+        prop_assert_eq!(stats.pairs_total as usize, d.len() * u.len());
+        prop_assert_eq!(stats.pruned_size(), size_pruned);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! | `markov_ge_simp` | Thm 4: the Markov filter never under-estimates | `ub_simp` / `ub_simp_exact_tail` vs. exact `SimP_τ` |
 //! | `grouped_eq_flat` | Sec. 6.2 grouping changes cost, not answers | grouped bound/verify vs. flat enumeration |
 //! | `alpha_decision` | early exits are one-sided but the pass/fail verdict is exact | `verify_simp(α)` vs. exact `SimP_τ ≥ α` |
-//! | `joins_agree` | pruning must not change results | all five join drivers vs. each other and vs. brute-force membership |
+//! | `joins_agree` | pruning and worker count must not change results | every strategy, one and three workers, and the sampling tier vs. brute-force membership |
 
 use crate::gen::derive_seed;
 use crate::report::ConformanceReport;
@@ -355,6 +355,7 @@ pub fn check_join_agreement(
             "simj_opt",
             pair_set(&sim_join(table, d, u, params(JoinStrategy::SimJOpt { group_count: 4 })).0),
         ),
+        ("sequential", pair_set(&sim_join_parallel(table, d, u, params(JoinStrategy::SimJ), 1).0)),
         ("parallel", pair_set(&sim_join_parallel(table, d, u, params(JoinStrategy::SimJ), 3).0)),
     ];
     for (name, pairs) in &runs {

@@ -74,7 +74,7 @@ fn planner_order_never_degrades_seeks_vs_greedy() {
         let kb = gen_kb(&cfg, derive_seed(0x9EED, kb_round));
         let store = build_store(&kb);
         for q in 0..24u64 {
-            let query = gen_query(&kb, derive_seed(0x9EED_000 + kb_round, q));
+            let query = gen_query(&kb, derive_seed(0x09EE_D000 + kb_round, q));
             let (_, stats) = lftj::solutions_stats(&store, &query);
             planner_seeks += stats.seeks;
             let order = greedy_order(&store, &query);

@@ -30,6 +30,7 @@ fn quick_profile_passes_with_full_coverage() {
         "css_only",
         "simj",
         "simj_opt",
+        "sequential",
         "parallel",
         "auto_tier",
         "shuffled_cascade",
