@@ -66,9 +66,9 @@ fn bench_join(c: &mut Criterion) {
     group.finish();
 
     // Skewed regime: the deep pairs drowned in distractors the first two
-    // fixed stages cannot prune. The adaptive planner re-learns the
-    // cascade order per iteration (a fresh runtime each call, as any
-    // cold-started join would).
+    // fixed stages cannot prune. The adaptive planner calibrates and
+    // freezes its cascade order per iteration (a fresh runtime each call,
+    // as any cold-started join would).
     let (sd, su, stau) = skewed_workload(&mut table);
     let mut group = c.benchmark_group("cascade_skewed");
     group.sample_size(10);
@@ -77,8 +77,7 @@ fn bench_join(c: &mut Criterion) {
     });
     group.bench_function("adaptive", |b| {
         b.iter(|| {
-            let params = JoinParams::simj(stau, 0.5)
-                .with_cascade(CascadePolicy::adaptive().with_probe_interval(1024));
+            let params = JoinParams::simj(stau, 0.5).with_cascade(CascadePolicy::adaptive());
             sim_join(&table, &sd, &su, params)
         })
     });
@@ -275,11 +274,7 @@ fn cascade_showdown_json() -> String {
     let (d, u, tau) = skewed_workload(&mut table);
     let alpha = 0.5f64;
     let fixed_params = JoinParams::simj(tau, alpha);
-    // A sparser probe cadence than the default: the flood is huge and
-    // stationary, so spending a full-evaluation pair every 64 would buy
-    // freshness this workload never needs.
-    let adaptive_params =
-        fixed_params.with_cascade(CascadePolicy::adaptive().with_probe_interval(1024));
+    let adaptive_params = fixed_params.with_cascade(CascadePolicy::adaptive());
 
     let key = |m: &JoinMatch| (m.g_index, m.q_index);
     let mut best: [Option<(Duration, JoinStats)>; 2] = [None, None];

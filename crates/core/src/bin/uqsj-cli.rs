@@ -16,11 +16,10 @@
 //!               [--simp-mode exact|sample|auto]
 //!               [--epsilon E] [--delta D] [--sample-seed S]
 //!               [--cascade fixed|adaptive|shuffled]
-//!               [--calibration-pairs K] [--epoch-pairs E]
-//!               [--probe-interval P] [--hysteresis H] [--shuffle-seed S]
+//!               [--calibration-pairs K] [--shuffle-seed S]
 //!     Run the join only and print per-stage statistics plus the cascade
 //!     plan and per-bound selectivity/cost table. --explain N re-joins
-//!     the first N questions one at a time against the same (calibrated)
+//!     the first N questions one at a time against the same (frozen)
 //!     cascade runtime and prints a per-question EXPLAIN report — the
 //!     filter funnel, verification tiers, stopping reasons, and GED
 //!     effort for that question alone. --metrics-out
@@ -29,13 +28,12 @@
 //!     as a Chrome trace.
 //!
 //!     Cascade flags (join and generate): --cascade picks the filter-stage
-//!     plan — the paper's fixed order (default), the adaptive
-//!     selectivity/cost planner over the full bound registry, or a
-//!     seed-derived shuffled plan (conformance aid). Every choice returns
-//!     identical results; only cost changes. --calibration-pairs (64) sets
-//!     the warm-start sample, --epoch-pairs (512) the re-plan period,
-//!     --probe-interval (64) the dropped-stage refresh cadence, and
-//!     --hysteresis (0.1) the adoption threshold.
+//!     plan — the paper's fixed order (default), the adaptive planner
+//!     (full bound registry on the first --calibration-pairs pairs,
+//!     default 64, then one selectivity/cost ranking, frozen for the rest
+//!     of the run), or a seed-derived shuffled plan (--shuffle-seed,
+//!     default 42; a conformance aid). Every choice returns identical
+//!     results; only cost changes.
 //!
 //!     Sampling flags (join and generate): --simp-mode picks the SimP
 //!     verification tier — exact enumeration (default), Monte-Carlo
@@ -84,6 +82,10 @@
 //! snapshot + WAL directory per shard replica. Both `serve` modes read
 //! it; a directory without SHARDS is refused.
 //!
+//! A flag without a value, a value that does not parse, or an unknown
+//! --strategy, --cascade or --simp-mode choice exits with status 2 and a
+//! message naming the flag.
+//!
 //! uqsj-cli conformance [--seed S] [--pairs N] [--profile quick|deep]
 //!     Run the differential conformance suite: seeded boundary-biased
 //!     pairs, every lower bound vs. the exact reference GED per possible
@@ -128,6 +130,13 @@ fn main() -> ExitCode {
     }
 }
 
+/// Reject a malformed command line: print `message` and exit with
+/// status 2, the conventional usage-error code.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
+}
+
 /// Minimal flag parser: `--key value` pairs.
 struct Options {
     pairs: Vec<(String, String)>,
@@ -136,11 +145,12 @@ struct Options {
 impl Options {
     fn parse(args: &[String]) -> Self {
         let mut pairs = Vec::new();
-        let mut it = args.iter();
+        let mut it = args.iter().peekable();
         while let Some(k) = it.next() {
             if let Some(key) = k.strip_prefix("--") {
-                if let Some(v) = it.next() {
-                    pairs.push((key.to_owned(), v.clone()));
+                match it.next_if(|v| !v.starts_with("--")) {
+                    Some(v) => pairs.push((key.to_owned(), v.clone())),
+                    None => usage_error(&format!("--{key} needs a value")),
                 }
             }
         }
@@ -151,8 +161,29 @@ impl Options {
         self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
 
+    /// The value of `--key` parsed as `T`, or `default` when the flag is
+    /// absent. A value that does not parse is a usage error, never a
+    /// silent fallback to the default.
     fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+        match self.get(key) {
+            None => default,
+            Some(v) => v.parse().unwrap_or_else(|_| {
+                usage_error(&format!(
+                    "invalid --{key} {v:?}: expected {}",
+                    std::any::type_name::<T>()
+                ))
+            }),
+        }
+    }
+
+    /// The value of `--key` (or `default` when absent), which must be one
+    /// of `choices`.
+    fn choice<'a>(&'a self, key: &str, default: &'a str, choices: &[&str]) -> &'a str {
+        let v = self.get(key).unwrap_or(default);
+        if !choices.contains(&v) {
+            usage_error(&format!("unknown --{key} {v:?}; expected {}", choices.join("|")));
+        }
+        v
     }
 }
 
@@ -197,40 +228,25 @@ fn simp_policy(opts: &Options) -> SimpPolicy {
     let epsilon = opts.num("epsilon", 0.05);
     let delta = opts.num("delta", 0.05);
     let seed = opts.num("sample-seed", 42u64);
-    let policy = match opts.get("simp-mode").unwrap_or("exact") {
+    let policy = match opts.choice("simp-mode", "exact", &["exact", "sample", "auto"]) {
         "sample" => SimpPolicy::sample(epsilon, delta, seed),
         "auto" => SimpPolicy::auto(epsilon, delta, seed),
-        other => {
-            if other != "exact" {
-                eprintln!("unknown --simp-mode {other:?}; expected exact|sample|auto, using exact");
-            }
-            SimpPolicy::exact()
-        }
+        _ => SimpPolicy::exact(),
     };
     policy.with_threshold(opts.num("sample-threshold", SimpPolicy::DEFAULT_AUTO_THRESHOLD))
 }
 
 fn cascade_policy(opts: &Options) -> CascadePolicy {
-    let base = match opts.get("cascade").unwrap_or("fixed") {
+    let base = match opts.choice("cascade", "fixed", &["fixed", "adaptive", "shuffled"]) {
         "adaptive" => CascadePolicy::adaptive(),
         "shuffled" => CascadePolicy::shuffled(opts.num("shuffle-seed", 42u64)),
-        other => {
-            if other != "fixed" {
-                eprintln!(
-                    "unknown --cascade {other:?}; expected fixed|adaptive|shuffled, using fixed"
-                );
-            }
-            CascadePolicy::fixed()
-        }
+        _ => CascadePolicy::fixed(),
     };
     base.with_calibration_pairs(opts.num("calibration-pairs", base.calibration_pairs))
-        .with_epoch_pairs(opts.num("epoch-pairs", base.epoch_pairs))
-        .with_probe_interval(opts.num("probe-interval", base.probe_interval))
-        .with_hysteresis(opts.num("hysteresis", base.hysteresis))
 }
 
 fn join_params(opts: &Options) -> JoinParams {
-    let strategy = match opts.get("strategy").unwrap_or("simj") {
+    let strategy = match opts.choice("strategy", "simj", &["css", "simj", "opt"]) {
         "css" => JoinStrategy::CssOnly,
         "opt" => JoinStrategy::SimJOpt { group_count: opts.num("groups", 8) },
         _ => JoinStrategy::SimJ,
@@ -246,12 +262,13 @@ fn join_params(opts: &Options) -> JoinParams {
 
 fn generate(opts: &Options) -> ExitCode {
     let out_dir = PathBuf::from(opts.get("out-dir").unwrap_or("artifacts"));
+    let params = join_params(opts);
+    let config = dataset_config(opts);
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
         eprintln!("cannot create {}: {e}", out_dir.display());
         return ExitCode::FAILURE;
     }
-    let dataset = uqsj::workload::qald_like(&dataset_config(opts));
-    let params = join_params(opts);
+    let dataset = uqsj::workload::qald_like(&config);
     let result = generate_templates(&dataset, params);
     let (correct, precision) = join_quality(&dataset, &result.matches);
     println!(
@@ -657,8 +674,8 @@ fn compact(opts: &Options) -> ExitCode {
 }
 
 fn join(opts: &Options) -> ExitCode {
-    let dataset = uqsj::workload::qald_like(&dataset_config(opts));
     let params = join_params(opts);
+    let dataset = uqsj::workload::qald_like(&dataset_config(opts));
     let cascade = uqsj::simjoin::CascadeRuntime::new(params.cascade, params.strategy);
     let (matches, stats) = uqsj::simjoin::sim_join_in(
         &cascade,
@@ -756,13 +773,9 @@ fn explain_questions(
 fn conformance(opts: &Options) -> ExitCode {
     use uqsj::testkit::{run_conformance, ConformanceConfig};
     let seed = opts.num("seed", 42u64);
-    let mut cfg = match opts.get("profile").unwrap_or("quick") {
+    let mut cfg = match opts.choice("profile", "quick", &["quick", "deep"]) {
         "deep" => ConformanceConfig::deep(seed),
-        "quick" => ConformanceConfig::quick(seed),
-        other => {
-            eprintln!("unknown profile {other:?}; expected quick|deep");
-            return ExitCode::FAILURE;
-        }
+        _ => ConformanceConfig::quick(seed),
     };
     cfg.pairs = opts.num("pairs", cfg.pairs);
     println!("running conformance: profile {:?}, seed {seed}, {} pairs", cfg.profile, cfg.pairs);

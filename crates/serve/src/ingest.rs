@@ -9,9 +9,7 @@
 use uqsj_graph::{Graph, SymbolTable};
 use uqsj_nlp::semantic::AnalysisError;
 use uqsj_nlp::{analyze_question, Lexicon};
-use uqsj_simjoin::{
-    CascadeCursor, CascadeRuntime, GedEngine, JoinIndex, JoinMatch, JoinParams, JoinStats,
-};
+use uqsj_simjoin::{CascadeRuntime, GedEngine, JoinIndex, JoinMatch, JoinParams, JoinStats};
 use uqsj_sparql::{SparqlQuery, Term};
 use uqsj_template::{generate_template, Template, TemplateSource};
 use uqsj_workload::Dataset;
@@ -67,12 +65,11 @@ pub struct Ingestor {
     /// GED search workspace reused across every ingested question.
     engine: GedEngine,
     /// Cascade planner shared across every ingested question, so under an
-    /// adaptive policy the selectivity/cost estimates learned on earlier
-    /// arrivals keep steering the filter order for later ones instead of
+    /// adaptive policy the plan calibrated on the first arrivals (then
+    /// frozen) steers the filter order for later ones instead of
     /// restarting cold per question. Shared (`Arc`) so a serving front
     /// end can expose the live plan through `/debug/cascade`.
     cascade: std::sync::Arc<CascadeRuntime>,
-    cursor: CascadeCursor,
 }
 
 impl Ingestor {
@@ -111,7 +108,6 @@ impl Ingestor {
             next_g_index,
             engine: GedEngine::new(),
             cascade,
-            cursor: CascadeCursor::new(),
         }
     }
 
@@ -144,7 +140,6 @@ impl Ingestor {
         let (matches, stats) = index.join_one_in(
             &mut self.engine,
             &self.cascade,
-            &mut self.cursor,
             &self.table,
             g_index,
             &g,

@@ -8,7 +8,7 @@
 //! `CascadeReport`), so EXPLAIN never changes what work runs — it only
 //! snapshots the numbers the metrics layer would aggregate anyway.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 use uqsj_obs::push_json_string;
 use uqsj_simjoin::JoinStats;
 
@@ -46,8 +46,9 @@ pub struct JoinReport {
     /// Cascade plan in execution order (empty when no cascade report was
     /// stamped).
     pub plan: Vec<&'static str>,
-    /// Adopted plan changes over the cascade's lifetime.
-    pub plan_epochs: u64,
+    /// Pair count at which the cascade's adaptive plan froze (`None` for
+    /// a fixed or shuffled plan, or one still calibrating).
+    pub frozen_at: Option<u64>,
     /// Candidates decided by exact enumeration.
     pub verified_exact: u64,
     /// Candidates decided by the sampling tier.
@@ -82,9 +83,9 @@ impl JoinReport {
                 row
             })
             .collect();
-        let (plan, plan_epochs) = match &stats.cascade {
-            Some(c) => (c.plan.clone(), c.plan_epochs),
-            None => (Vec::new(), 0),
+        let (plan, frozen_at) = match &stats.cascade {
+            Some(c) => (c.plan.clone(), c.frozen_at),
+            None => (Vec::new(), None),
         };
         Self {
             pairs: stats.pairs_total,
@@ -92,7 +93,7 @@ impl JoinReport {
             results: stats.results,
             stages,
             plan,
-            plan_epochs,
+            frozen_at,
             verified_exact: stats.verified_exact,
             verified_sampled: stats.verified_sampled,
             worlds_verified: stats.worlds_verified,
@@ -184,7 +185,10 @@ impl QueryReport {
                     push_json_string(&mut s, label);
                 }
                 s.push(']');
-                s.push_str(&format!(",\"plan_epochs\":{}", j.plan_epochs));
+                match j.frozen_at {
+                    Some(n) => s.push_str(&format!(",\"frozen_at\":{n}")),
+                    None => s.push_str(",\"frozen_at\":null"),
+                }
                 s.push_str(&format!(",\"verified_exact\":{}", j.verified_exact));
                 s.push_str(&format!(",\"verified_sampled\":{}", j.verified_sampled));
                 s.push_str(&format!(",\"worlds_verified\":{}", j.worlds_verified));
@@ -226,13 +230,13 @@ impl QueryReport {
             ));
         }
         if let Some(j) = &self.join {
+            let frozen_at = j.frozen_at.map_or("-".to_owned(), |n| n.to_string());
             out.push_str(&format!(
-                "  join pairs={} candidates={} results={} plan=[{}] epochs={}\n",
+                "  join pairs={} candidates={} results={} plan=[{}] frozen_at={frozen_at}\n",
                 j.pairs,
                 j.candidates,
                 j.results,
                 j.plan.join(","),
-                j.plan_epochs
             ));
             for st in &j.stages {
                 out.push_str(&format!(
@@ -290,7 +294,7 @@ impl SlowLog {
         if self.capacity == 0 {
             return false;
         }
-        let mut worst = self.worst.lock();
+        let mut worst = self.worst.lock().unwrap_or_else(PoisonError::into_inner);
         if worst.len() >= self.capacity {
             match worst.last() {
                 Some(fastest) if fastest.total_us >= report.total_us => return false,
@@ -306,12 +310,12 @@ impl SlowLog {
 
     /// Snapshot the resident reports, slowest first.
     pub fn snapshot(&self) -> Vec<QueryReport> {
-        self.worst.lock().clone()
+        self.worst.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// JSON array of the resident reports, slowest first.
     pub fn to_json(&self) -> String {
-        let worst = self.worst.lock();
+        let worst = self.worst.lock().unwrap_or_else(PoisonError::into_inner);
         let mut s = String::from("[");
         for (i, r) in worst.iter().enumerate() {
             if i > 0 {

@@ -48,9 +48,8 @@ use crate::cache::{normalize_question, AnswerCache};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::report::{QueryReport, SlowLog, StageReport};
 use crate::store::TemplateStore;
-use parking_lot::{Mutex, RwLock};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 use uqsj_nlp::signature::NlSignature;
 use uqsj_nlp::token::tokenize;
@@ -145,6 +144,21 @@ pub struct ShardedQaServer {
     /// serving path itself never joins, but the ingest pipeline feeding
     /// this server does, and its live plan is operator-relevant.
     cascades: Mutex<Vec<(String, Arc<CascadeRuntime>)>>,
+}
+
+// Poison-tolerant lock access: a panic inside one critical section
+// leaves the guarded state observable instead of wedging the shard for
+// every later request.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn shard_dir(data_dir: &Path, shard: usize) -> PathBuf {
@@ -362,7 +376,7 @@ impl ShardedQaServer {
         let trace_id = uqsj_obs::ctx::trace_id();
         let key = normalize_question(question);
         let generation = {
-            let mut cache = self.cache.lock();
+            let mut cache = lock(&self.cache);
             if let Some((outcome, shard)) = cache.get(&key) {
                 let elapsed = started.elapsed();
                 self.metrics.record_hit(elapsed);
@@ -389,7 +403,7 @@ impl ShardedQaServer {
         // Snapshot the shard set: all read locks, ascending shard order
         // (the same order ingestion takes write locks), so a concurrent
         // batch is either fully visible or not at all — no torn reads.
-        let guards: Vec<_> = self.shards.iter().map(|s| s.store.read()).collect();
+        let guards: Vec<_> = self.shards.iter().map(|s| read(&s.store)).collect();
         let mut candidates: Vec<CandidateRef> = Vec::new();
         let mut shards_touched = 0usize;
         let mut library_size = 0usize;
@@ -425,7 +439,7 @@ impl ShardedQaServer {
         let elapsed = started.elapsed();
         self.metrics.record_miss(elapsed, n_candidates, library_size, stats.ted_computed);
         self.shard_touched.observe(shards_touched as u64);
-        self.cache.lock().put_at(generation, key, (multi.outcome.clone(), multi.library));
+        lock(&self.cache).put_at(generation, key, (multi.outcome.clone(), multi.library));
         // The serving funnel: pruned counts plus the chosen template sum
         // back to the library size, so EXPLAIN output reconciles with the
         // aggregated `uqsj_serve_*` counters.
@@ -523,10 +537,10 @@ impl ShardedQaServer {
         }
         // Ascending shard order, matching the answer path's read-lock
         // order — the global lock order that makes the snapshot safe.
-        let mut guards: Vec<_> = touched.iter().map(|&si| self.shards[si].store.write()).collect();
+        let mut guards: Vec<_> = touched.iter().map(|&si| write(&self.shards[si].store)).collect();
         for &si in &touched {
             for engine in &self.shards[si].replicas {
-                engine.lock().append_templates(&groups[si])?;
+                lock(engine).append_templates(&groups[si])?;
             }
         }
         let mut added = 0usize;
@@ -541,7 +555,7 @@ impl ShardedQaServer {
         self.ingest_fanout.observe(touched.len() as u64);
         if added > 0 {
             self.shard_templates.set(self.template_count() as i64);
-            self.cache.lock().invalidate();
+            lock(&self.cache).invalidate();
         }
         Ok(added)
     }
@@ -555,11 +569,10 @@ impl ShardedQaServer {
             if shard.replicas.is_empty() {
                 continue;
             }
-            let store = shard.store.read();
+            let store = read(&shard.store);
             let mut generation = 0;
             for engine in &shard.replicas {
-                generation =
-                    engine.lock().compact(store.library(), &self.lexicon, &self.triples)?;
+                generation = lock(engine).compact(store.library(), &self.lexicon, &self.triples)?;
             }
             generations.push(generation);
         }
@@ -572,7 +585,7 @@ impl ShardedQaServer {
     pub fn sync_wals(&self) -> Result<(), StorageError> {
         for shard in &self.shards {
             for engine in &shard.replicas {
-                engine.lock().sync()?;
+                lock(engine).sync()?;
             }
         }
         Ok(())
@@ -593,18 +606,18 @@ impl ShardedQaServer {
     pub fn storage_generations(&self) -> Vec<u64> {
         self.shards
             .iter()
-            .filter_map(|s| s.replicas.first().map(|engine| engine.lock().generation()))
+            .filter_map(|s| s.replicas.first().map(|engine| lock(engine).generation()))
             .collect()
     }
 
     /// Templates currently served, across all shards.
     pub fn template_count(&self) -> usize {
-        self.shards.iter().map(|s| s.store.read().len()).sum()
+        self.shards.iter().map(|s| read(&s.store).len()).sum()
     }
 
     /// Per-shard template counts, in shard order.
     pub fn shard_template_counts(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.store.read().len()).collect()
+        self.shards.iter().map(|s| read(&s.store).len()).collect()
     }
 
     /// The shard libraries concatenated in shard order — the canonical
@@ -614,7 +627,7 @@ impl ShardedQaServer {
     pub fn canonical_library(&self) -> TemplateLibrary {
         let mut library = TemplateLibrary::new();
         for shard in &self.shards {
-            for t in shard.store.read().library().templates() {
+            for t in read(&shard.store).library().templates() {
                 library.add(t.clone());
             }
         }
@@ -630,18 +643,18 @@ impl ShardedQaServer {
     /// pipeline's) so [`ShardedQaServer::cascade_reports`] — and thus
     /// `GET /debug/cascade` — can snapshot its live plan and estimates.
     pub fn attach_cascade(&self, label: impl Into<String>, cascade: Arc<CascadeRuntime>) {
-        self.cascades.lock().push((label.into(), cascade));
+        lock(&self.cascades).push((label.into(), cascade));
     }
 
     /// Live plan + estimate snapshots of every attached cascade planner.
     pub fn cascade_reports(&self) -> Vec<(String, CascadeReport)> {
-        self.cascades.lock().iter().map(|(label, rt)| (label.clone(), rt.report())).collect()
+        lock(&self.cascades).iter().map(|(label, rt)| (label.clone(), rt.report())).collect()
     }
 
     /// Answer-cache introspection for `GET /debug/cache`:
     /// `(entries, capacity, generation)`.
     pub fn cache_debug(&self) -> (usize, usize, u64) {
-        let cache = self.cache.lock();
+        let cache = lock(&self.cache);
         (cache.len(), self.config.cache_capacity, cache.generation())
     }
 
@@ -695,6 +708,32 @@ mod tests {
         let a: Vec<String> = ["ab", "c"].map(String::from).to_vec();
         let b: Vec<String> = ["a", "bc"].map(String::from).to_vec();
         assert_ne!(route_hash(&a), route_hash(&b));
+    }
+
+    #[test]
+    fn a_panicked_critical_section_does_not_wedge_the_server() {
+        let qa = ShardedQaServer::new(
+            TemplateLibrary::default(),
+            Lexicon::new(),
+            TripleStore::new(),
+            2,
+            ServeConfig::default(),
+        );
+        // Poison the answer cache, a shard store and the cascade list.
+        std::thread::scope(|scope| {
+            let _ = scope
+                .spawn(|| {
+                    let _cache = lock(&qa.cache);
+                    let _store = write(&qa.shards[0].store);
+                    let _cascades = lock(&qa.cascades);
+                    panic!("poison every lock held");
+                })
+                .join();
+        });
+        assert!(qa.cache.is_poisoned() && qa.shards[0].store.is_poisoned());
+        assert!(qa.answer("Which stadium of Country 1?").outcome.sparql.is_none());
+        assert_eq!(qa.template_count(), 0);
+        assert!(qa.cascade_reports().is_empty());
     }
 
     #[test]

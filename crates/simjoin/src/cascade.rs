@@ -11,37 +11,26 @@
 //! orders stages by observed selectivity-per-cost and drops stages whose
 //! expected benefit does not pay for their evaluation.
 //!
-//! # Planner state machine
+//! # Planner lifecycle
 //!
 //! ```text
-//!            pairs < calibration_pairs           every epoch_pairs pairs
-//!  ┌─────────────┐  full-eval all stages  ┌──────────┐  re-rank + hysteresis
-//!  │ CALIBRATING │ ─────────────────────▶ │ STEADY   │ ──────────┐
-//!  └─────────────┘   then rank & adopt    └──────────┘           │
-//!         ▲                                    ▲   every Nth pair │
-//!         │                                    └──── probe ◀──────┘
+//!            pairs < calibration_pairs         pair calibration_pairs
+//!  ┌─────────────┐  full-eval all stages  ┌──────────┐  runs the frozen plan
+//!  │ CALIBRATING │ ─────────────────────▶ │ FROZEN   │  for the rest of the
+//!  └─────────────┘   then rank once       └──────────┘  runtime's life
 //! ```
 //!
-//! * **Calibration** — the first `calibration_pairs` pairs evaluate
-//!   *every* candidate stage (prune-if-any-fires, so the pair outcome is
-//!   unchanged) to warm-start unconditional selectivity and per-pair cost
-//!   estimates.
-//! * **Steady state** — pairs run the current plan with short-circuit
-//!   semantics; per-stage estimates keep accumulating. Every
-//!   `probe_interval`-th pair is a *probe* that full-evaluates all stages
-//!   again so dropped stages keep fresh estimates and can win their way
-//!   back in.
-//! * **Re-planning** — at every `epoch_pairs` boundary one worker claims
-//!   the replan with a CAS, ranks stages by `selectivity / cost`, applies
-//!   the benefit-drop rule back-to-front (keep a stage iff
-//!   `sel × tail_cost > cost`, where `tail_cost` is the expected cost of
-//!   everything after it, seeded by the average verification cost), and
-//!   adopts the new plan only if its expected per-pair cost improves on
-//!   the incumbent by more than `hysteresis` (the first post-calibration
-//!   plan is adopted unconditionally). After each replan the estimate
-//!   window is rescaled to at most `epoch_pairs` observations, so one
-//!   epoch of contrary evidence carries at least half the weight — a
-//!   workload drift re-ranks the cascade within roughly one epoch.
+//! * **Calibration** — in `Adaptive` mode the first `calibration_pairs`
+//!   pairs evaluate *every* enrolled stage (prune-if-any-fires, so the
+//!   pair outcome is unchanged) to measure unconditional selectivity and
+//!   per-pair cost.
+//! * **Freeze** — the first pair past calibration ranks the stages once
+//!   by `selectivity / cost` and applies the benefit-drop rule back to
+//!   front (keep a stage iff `sel × tail_cost > cost`, where `tail_cost`
+//!   is the expected cost of everything after it, seeded by the average
+//!   verification cost measured during calibration). That plan is set
+//!   once and never changes; every later pair runs it with short-circuit
+//!   semantics. `Fixed` and `Shuffled` set their plan at construction.
 //!
 //! # Soundness
 //!
@@ -58,9 +47,9 @@
 use crate::join::JoinStrategy;
 use crate::obs::{join_obs, stage_handles, StageHandles};
 use crate::stats::JoinStats;
-use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use uqsj_ged::bounds::css::css_terms_uncertain;
 use uqsj_ged::bounds::{all_bounds, LowerBound};
@@ -68,10 +57,10 @@ use uqsj_graph::{Graph, SymbolTable, UncertainGraph};
 use uqsj_uncertain::groups::{ub_simp_grouped, PossibleWorldGroup};
 use uqsj_uncertain::prob_bound::ub_simp_with_terms;
 
-/// Fallback expected verification cost (ns) before any candidate has
-/// been verified. Deliberately on the expensive side (the deep workloads
-/// average ~500 µs/pair), so early plans keep filters rather than
-/// dropping them on no evidence.
+/// Fallback expected verification cost (ns) when no calibration pair
+/// reached verification. Deliberately on the expensive side (the deep
+/// workloads average ~500 µs/pair), so the frozen plan keeps filters
+/// rather than dropping them on no evidence.
 const DEFAULT_VERIFY_COST_NS: f64 = 500_000.0;
 
 /// How the cascade plan is chosen.
@@ -81,9 +70,10 @@ pub enum CascadeMode {
     /// probabilistic stage(s). Byte-identical behavior (results *and*
     /// candidate counts) to the pre-planner pipeline.
     Fixed,
-    /// Selectivity/cost-ranked ordering with online re-planning over the
-    /// full bound registry. Same results; candidate counts may differ
-    /// (extra registry bounds can prune pairs CSS misses).
+    /// Calibrate on the first pairs over the full bound registry, rank
+    /// the stages by selectivity/cost once, then freeze that plan. Same
+    /// results; candidate counts may differ (extra registry bounds can
+    /// prune pairs CSS misses).
     Adaptive,
     /// A seed-derived random permutation + subset of the stages, fixed
     /// for the whole run. Conformance-test mode: exercises the claim
@@ -91,22 +81,14 @@ pub enum CascadeMode {
     Shuffled,
 }
 
-/// Cascade-planner policy knobs, carried inside
-/// [`crate::JoinParams::cascade`].
+/// Cascade-planner policy, carried inside [`crate::JoinParams::cascade`].
 #[derive(Clone, Copy, Debug)]
 pub struct CascadePolicy {
     /// Plan-selection mode.
     pub mode: CascadeMode,
-    /// Pairs that full-evaluate every stage to warm-start estimates.
+    /// Pairs that full-evaluate every stage before the adaptive plan
+    /// freezes.
     pub calibration_pairs: u64,
-    /// Pairs between re-plan attempts; also the estimate-window cap.
-    pub epoch_pairs: u64,
-    /// Relative expected-cost improvement a candidate plan must show
-    /// before it replaces the incumbent (0.1 = 10%).
-    pub hysteresis: f64,
-    /// Every `probe_interval`-th steady-state pair full-evaluates all
-    /// stages so dropped stages keep fresh estimates (0 disables probes).
-    pub probe_interval: u64,
     /// Seed for [`CascadeMode::Shuffled`] plan derivation.
     pub shuffle_seed: u64,
 }
@@ -114,17 +96,10 @@ pub struct CascadePolicy {
 impl CascadePolicy {
     /// The paper's fixed stage order (the default).
     pub fn fixed() -> Self {
-        Self {
-            mode: CascadeMode::Fixed,
-            calibration_pairs: 64,
-            epoch_pairs: 512,
-            hysteresis: 0.1,
-            probe_interval: 64,
-            shuffle_seed: 0,
-        }
+        Self { mode: CascadeMode::Fixed, calibration_pairs: 64, shuffle_seed: 0 }
     }
 
-    /// Adaptive planning with default calibration/epoch/probe knobs.
+    /// Calibrate-then-freeze planning with the default sample size.
     pub fn adaptive() -> Self {
         Self { mode: CascadeMode::Adaptive, ..Self::fixed() }
     }
@@ -134,24 +109,10 @@ impl CascadePolicy {
         Self { mode: CascadeMode::Shuffled, shuffle_seed: seed, ..Self::fixed() }
     }
 
-    /// Override the calibration-sample size.
+    /// Override the calibration-sample size (at least one pair, so the
+    /// ranking never runs on no evidence).
     pub fn with_calibration_pairs(self, calibration_pairs: u64) -> Self {
-        Self { calibration_pairs, ..self }
-    }
-
-    /// Override the re-plan epoch length.
-    pub fn with_epoch_pairs(self, epoch_pairs: u64) -> Self {
-        Self { epoch_pairs: epoch_pairs.max(1), ..self }
-    }
-
-    /// Override the probe interval (0 disables probing).
-    pub fn with_probe_interval(self, probe_interval: u64) -> Self {
-        Self { probe_interval, ..self }
-    }
-
-    /// Override the plan-adoption hysteresis.
-    pub fn with_hysteresis(self, hysteresis: f64) -> Self {
-        Self { hysteresis, ..self }
+        Self { calibration_pairs: calibration_pairs.max(1), ..self }
     }
 }
 
@@ -224,62 +185,32 @@ pub(crate) enum CascadeOutcome {
 }
 
 /// Shared cascade state for one join run: the enrolled stages, their
-/// online estimates, and the current plan. One runtime is shared by all
-/// workers of a join (everything hot is atomic; the plan itself
-/// sits behind a mutex that workers only touch on epoch changes) and can
+/// estimates, and the plan. One runtime is shared by all workers of a
+/// join (the counters are atomic and the plan is written once) and can
 /// outlive a single driver call — the serving ingestor keeps one across
-/// questions so adaptation accumulates.
+/// questions, so calibration happens once per ingestor, not per
+/// question.
 pub struct CascadeRuntime {
     policy: CascadePolicy,
     strategy: JoinStrategy,
     stages: Vec<Stage>,
-    /// Current plan: indexes into `stages`, in execution order.
-    plan: Mutex<Vec<usize>>,
-    /// Bumped on every adopted plan; cursors re-copy the plan when it
-    /// moves.
-    plan_epoch: AtomicU64,
+    /// The plan: indexes into `stages`, in execution order. Set at
+    /// construction in `Fixed`/`Shuffled` mode; in `Adaptive` mode set by
+    /// the first pair past calibration. Never changed once set.
+    plan: OnceLock<Vec<usize>>,
     /// Pairs that entered the cascade.
     pairs_done: AtomicU64,
     /// Pairs a size index answered without entering the cascade.
     pairs_skipped: AtomicU64,
-    /// Pair count at which the next replan fires (`u64::MAX` when the
-    /// mode never replans).
-    next_replan: AtomicU64,
-    /// Re-rank attempts (epoch boundaries reached).
-    replans: AtomicU64,
-    /// Adopted plan changes.
-    adoptions: AtomicU64,
+    /// Verifications observed before the plan froze, and their summed
+    /// time (ns) — the tail cost the single ranking charges.
     verify_count: AtomicU64,
     verify_cost_ns: AtomicU64,
 }
 
-/// A worker-local view of the shared plan: a cached copy refreshed only
-/// when [`CascadeRuntime`]'s plan epoch moves, so steady-state pairs
-/// never touch the plan mutex.
-#[derive(Default)]
-pub struct CascadeCursor {
-    epoch: Option<u64>,
-    order: Vec<usize>,
-}
-
-impl CascadeCursor {
-    /// A cursor that syncs with the runtime's plan on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn refresh(&mut self, rt: &CascadeRuntime) {
-        let epoch = rt.plan_epoch.load(Ordering::Acquire);
-        if self.epoch != Some(epoch) {
-            self.order = rt.plan.lock().clone();
-            self.epoch = Some(epoch);
-        }
-    }
-}
-
 impl CascadeRuntime {
-    /// Enroll the stages valid for `strategy` and derive the initial
-    /// plan for `policy.mode`.
+    /// Enroll the stages valid for `strategy` and, outside `Adaptive`
+    /// mode, set the plan for `policy.mode`.
     pub fn new(policy: CascadePolicy, strategy: JoinStrategy) -> Self {
         let mut stages: Vec<Stage> = all_bounds()
             .into_iter()
@@ -296,53 +227,40 @@ impl CascadeRuntime {
                 stages.push(Stage::new(StageKind::Grouped, "grouped"));
             }
         }
-        let initial = match policy.mode {
-            // The paper's order — also the adaptive warm-up plan until
-            // calibration produces estimates.
-            CascadeMode::Fixed | CascadeMode::Adaptive => {
-                let mut plan = Vec::new();
+        let plan = OnceLock::new();
+        match policy.mode {
+            CascadeMode::Fixed => {
+                // The paper's order: size → label-multiset → CSS → the
+                // probabilistic stage(s).
+                let mut order = Vec::new();
                 for want in ["size", "label_multiset", "css"] {
-                    if let Some(i) = stages.iter().position(|s| s.label == want) {
-                        plan.push(i);
-                    }
+                    order.extend(stages.iter().position(|s| s.label == want));
                 }
-                for (i, s) in stages.iter().enumerate() {
-                    if !matches!(s.kind, StageKind::Bound(_)) {
-                        plan.push(i);
-                    }
-                }
-                plan
+                order.extend(
+                    (0..stages.len()).filter(|&i| !matches!(stages[i].kind, StageKind::Bound(_))),
+                );
+                let _ = plan.set(order);
             }
-            CascadeMode::Shuffled => shuffled_plan(&stages, policy.shuffle_seed),
-        };
-        let next_replan = if policy.mode == CascadeMode::Adaptive {
-            policy.calibration_pairs.max(1)
-        } else {
-            u64::MAX
-        };
+            CascadeMode::Shuffled => {
+                let _ = plan.set(shuffled_plan(&stages, policy.shuffle_seed));
+            }
+            CascadeMode::Adaptive => {}
+        }
         Self {
             policy,
             strategy,
             stages,
-            plan: Mutex::new(initial),
-            plan_epoch: AtomicU64::new(0),
+            plan,
             pairs_done: AtomicU64::new(0),
             pairs_skipped: AtomicU64::new(0),
-            next_replan: AtomicU64::new(next_replan),
-            replans: AtomicU64::new(0),
-            adoptions: AtomicU64::new(0),
             verify_count: AtomicU64::new(0),
             verify_cost_ns: AtomicU64::new(0),
         }
     }
 
-    /// The policy this runtime was built with.
-    pub fn policy(&self) -> CascadePolicy {
-        self.policy
-    }
-
     /// Count `n` pairs the size index pruned before they reached the
-    /// cascade. They feed no estimate and no epoch counter.
+    /// cascade. They feed no estimate and do not count toward
+    /// calibration.
     pub(crate) fn record_skipped(&self, n: u64) {
         self.pairs_skipped.fetch_add(n, Ordering::Relaxed);
     }
@@ -350,10 +268,8 @@ impl CascadeRuntime {
     /// Run one pair through the cascade. Credits exactly one stage in
     /// `stats` and the process metrics when the pair is pruned, so
     /// `pairs == pruned_total + candidates` holds in every mode.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_pair(
         &self,
-        cursor: &mut CascadeCursor,
         table: &SymbolTable,
         q: &Graph,
         g: &UncertainGraph,
@@ -362,67 +278,51 @@ impl CascadeRuntime {
         stats: &mut JoinStats,
     ) -> CascadeOutcome {
         let n = self.pairs_done.fetch_add(1, Ordering::Relaxed);
-        let obs = join_obs();
-        let mut full_eval = false;
-        if self.policy.mode == CascadeMode::Adaptive {
-            if n < self.policy.calibration_pairs {
-                full_eval = true;
-                obs.cascade_calibration_pairs.inc();
-            } else {
-                self.maybe_replan();
-                if self.policy.probe_interval > 0 && n.is_multiple_of(self.policy.probe_interval) {
-                    full_eval = true;
-                    obs.cascade_probe_pairs.inc();
-                }
-            }
-        }
-        cursor.refresh(self);
-
-        if full_eval {
-            // Evaluate every enrolled stage (unconditional estimates);
-            // prune if any fired. The pair's fate is identical to
-            // short-circuit execution — each stage is individually sound.
-            let mut fired: Vec<usize> = Vec::new();
+        let calibrating =
+            self.policy.mode == CascadeMode::Adaptive && n < self.policy.calibration_pairs;
+        if calibrating {
+            // Evaluate every enrolled stage (unconditional estimates) and
+            // prune if any fired, crediting the first in enrollment order.
+            // The pair's fate is identical to short-circuit execution —
+            // each stage is individually sound.
+            join_obs().cascade_calibration_pairs.inc();
+            let mut first_fired = None;
             let mut groups = None;
             for idx in 0..self.stages.len() {
                 let (hit, parts) = self.timed_eval(idx, table, q, g, tau, alpha);
-                if hit {
-                    fired.push(idx);
+                if hit && first_fired.is_none() {
+                    first_fired = Some(idx);
                 }
-                if parts.is_some() {
-                    groups = parts;
-                }
+                groups = groups.or(parts);
             }
-            if fired.is_empty() {
-                return CascadeOutcome::Candidate(groups);
-            }
-            // Credit the stage that would have fired first under the
-            // current plan, falling back to registry order for stages
-            // the plan dropped.
-            let credit =
-                cursor.order.iter().copied().find(|i| fired.contains(i)).unwrap_or(fired[0]);
-            self.credit_prune(credit, stats);
-            CascadeOutcome::Pruned
-        } else {
-            let mut groups = None;
-            for &idx in &cursor.order {
-                let (hit, parts) = self.timed_eval(idx, table, q, g, tau, alpha);
-                if hit {
+            return match first_fired {
+                Some(idx) => {
                     self.credit_prune(idx, stats);
-                    return CascadeOutcome::Pruned;
+                    CascadeOutcome::Pruned
                 }
-                if parts.is_some() {
-                    groups = parts;
-                }
-            }
-            CascadeOutcome::Candidate(groups)
+                None => CascadeOutcome::Candidate(groups),
+            };
         }
+        let plan = self.plan.get_or_init(|| self.freeze());
+        let mut groups = None;
+        for &idx in plan {
+            let (hit, parts) = self.timed_eval(idx, table, q, g, tau, alpha);
+            if hit {
+                self.credit_prune(idx, stats);
+                return CascadeOutcome::Pruned;
+            }
+            groups = groups.or(parts);
+        }
+        CascadeOutcome::Candidate(groups)
     }
 
-    /// Feed the planner's tail-cost model with one verification.
+    /// Feed the ranking's tail-cost model with one verification. A no-op
+    /// once the plan is set: nothing reads the model after that.
     pub(crate) fn record_verify(&self, elapsed: Duration) {
-        self.verify_count.fetch_add(1, Ordering::Relaxed);
-        self.verify_cost_ns.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+        if self.plan.get().is_none() {
+            self.verify_count.fetch_add(1, Ordering::Relaxed);
+            self.verify_cost_ns.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+        }
     }
 
     fn credit_prune(&self, idx: usize, stats: &mut JoinStats) {
@@ -473,42 +373,11 @@ impl CascadeRuntime {
         (hit, parts)
     }
 
-    /// Claim and execute a replan if the epoch boundary has been
-    /// reached. Cheap when it hasn't (one relaxed load + compare).
-    fn maybe_replan(&self) {
-        let due = self.next_replan.load(Ordering::Relaxed);
-        if self.pairs_done.load(Ordering::Relaxed) < due {
-            return;
-        }
-        let next = due.saturating_add(self.policy.epoch_pairs.max(1));
-        if self
-            .next_replan
-            .compare_exchange(due, next, Ordering::Relaxed, Ordering::Relaxed)
-            .is_err()
-        {
-            return; // another worker claimed this boundary
-        }
-        let obs = join_obs();
-        obs.cascade_replans.inc();
-        self.replans.fetch_add(1, Ordering::Relaxed);
-        let first = due <= self.policy.calibration_pairs.max(1);
-        let ranked = self.compute_plan();
-        {
-            let mut plan = self.plan.lock();
-            if ranked != *plan {
-                let adopt = first
-                    || self.expected_cost(&ranked)
-                        < self.expected_cost(&plan) * (1.0 - self.policy.hysteresis);
-                if adopt {
-                    obs.cascade_bounds_skipped.add((self.stages.len() - ranked.len()) as u64);
-                    *plan = ranked;
-                    self.plan_epoch.fetch_add(1, Ordering::Release);
-                    self.adoptions.fetch_add(1, Ordering::Relaxed);
-                    obs.cascade_plan_epochs.inc();
-                }
-            }
-        }
-        self.decay();
+    /// The adaptive plan, computed once from the calibration estimates.
+    fn freeze(&self) -> Vec<usize> {
+        let plan = self.compute_plan();
+        join_obs().cascade_bounds_skipped.add((self.stages.len() - plan.len()) as u64);
+        plan
     }
 
     /// Rank stages by selectivity/cost and apply the benefit-drop rule.
@@ -549,26 +418,8 @@ impl CascadeRuntime {
             }
         }
         let mut plan: Vec<usize> = kept_rev.into_iter().rev().collect();
-        if let Some(gidx) = grouped {
-            plan.push(gidx);
-        }
+        plan.extend(grouped);
         plan
-    }
-
-    /// Expected per-pair cascade cost (ns) of running `order` under the
-    /// current estimates, verification tail included.
-    fn expected_cost(&self, order: &[usize]) -> f64 {
-        let mut cost = 0.0;
-        let mut survive = 1.0;
-        for &i in order {
-            let (sel, c) = self.stages[i].estimates();
-            if !c.is_finite() {
-                continue;
-            }
-            cost += survive * c;
-            survive *= 1.0 - sel;
-        }
-        cost + survive * self.verify_cost_estimate()
     }
 
     fn verify_cost_estimate(&self) -> f64 {
@@ -580,37 +431,14 @@ impl CascadeRuntime {
         }
     }
 
-    /// Rescale every estimate so it carries at most one epoch's worth of
-    /// observations. The load/store pairs race with concurrent workers
-    /// and may lose a few increments; the estimates are statistical, so
-    /// approximate decay is fine.
-    fn decay(&self) {
-        let window = self.policy.epoch_pairs.max(1);
-        for st in &self.stages {
-            let ev = st.evaluated.load(Ordering::Relaxed);
-            if ev > window {
-                let f = window as f64 / ev as f64;
-                st.evaluated.store(window, Ordering::Relaxed);
-                let fired = st.fired.load(Ordering::Relaxed) as f64;
-                st.fired.store((fired * f).round() as u64, Ordering::Relaxed);
-                let cost = st.cost_ns.load(Ordering::Relaxed) as f64;
-                st.cost_ns.store((cost * f).round() as u64, Ordering::Relaxed);
-            }
-        }
-        let vc = self.verify_count.load(Ordering::Relaxed);
-        if vc > window {
-            let f = window as f64 / vc as f64;
-            self.verify_count.store(window, Ordering::Relaxed);
-            let cost = self.verify_cost_ns.load(Ordering::Relaxed) as f64;
-            self.verify_cost_ns.store((cost * f).round() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Snapshot the planner state: current plan, per-stage estimates,
-    /// and replan counters. This is what lands in
-    /// [`crate::JoinStats::cascade`] and `BENCH_join.json`.
+    /// Snapshot the planner state: the plan, per-stage estimates, and
+    /// where the plan froze. This is what lands in
+    /// [`crate::JoinStats::cascade`] and `BENCH_join.json`. While an
+    /// adaptive runtime is still calibrating, every stage runs, so the
+    /// reported plan lists them all.
     pub fn report(&self) -> CascadeReport {
-        let plan = self.plan.lock().clone();
+        let plan = self.plan.get();
+        let plan: Vec<usize> = plan.cloned().unwrap_or_else(|| (0..self.stages.len()).collect());
         let stages = self
             .stages
             .iter()
@@ -627,14 +455,14 @@ impl CascadeRuntime {
                 }
             })
             .collect();
+        let frozen = self.policy.mode == CascadeMode::Adaptive && self.plan.get().is_some();
         CascadeReport {
             mode: self.policy.mode,
             plan: plan.iter().map(|&i| self.stages[i].label).collect(),
             stages,
             pairs_seen: self.pairs_done.load(Ordering::Relaxed),
             pairs_skipped: self.pairs_skipped.load(Ordering::Relaxed),
-            replans: self.replans.load(Ordering::Relaxed),
-            plan_epochs: self.adoptions.load(Ordering::Relaxed),
+            frozen_at: frozen.then_some(self.policy.calibration_pairs),
         }
     }
 }
@@ -672,7 +500,7 @@ fn shuffled_plan(stages: &[Stage], seed: u64) -> Vec<usize> {
 pub struct StageEstimate {
     /// Stage label (`uqsj_join_pruned_total{stage=...}`).
     pub label: &'static str,
-    /// Evaluations observed (post-decay window).
+    /// Evaluations observed.
     pub evaluated: u64,
     /// Evaluations on which the stage fired.
     pub fired: u64,
@@ -698,10 +526,10 @@ pub struct CascadeReport {
     pub pairs_seen: u64,
     /// Pairs the size index pruned without entering the cascade.
     pub pairs_skipped: u64,
-    /// Re-rank attempts (epoch boundaries reached).
-    pub replans: u64,
-    /// Adopted plan changes.
-    pub plan_epochs: u64,
+    /// Pair count at which the adaptive plan froze (`None` for the
+    /// fixed and shuffled modes, whose plan is set at construction, and
+    /// for an adaptive runtime still calibrating).
+    pub frozen_at: Option<u64>,
 }
 
 impl CascadeReport {
@@ -725,8 +553,8 @@ impl CascadeReport {
         s.push_str(&format!("{indent}  \"plan\": [{}],\n", plan.join(", ")));
         s.push_str(&format!("{indent}  \"pairs_seen\": {},\n", self.pairs_seen));
         s.push_str(&format!("{indent}  \"pairs_skipped\": {},\n", self.pairs_skipped));
-        s.push_str(&format!("{indent}  \"replans\": {},\n", self.replans));
-        s.push_str(&format!("{indent}  \"plan_epochs\": {},\n", self.plan_epochs));
+        let frozen_at = self.frozen_at.map_or("null".to_owned(), |n| n.to_string());
+        s.push_str(&format!("{indent}  \"frozen_at\": {frozen_at},\n"));
         s.push_str(&format!("{indent}  \"stages\": [\n"));
         for (i, st) in self.stages.iter().enumerate() {
             let comma = if i + 1 == self.stages.len() { "" } else { "," };
@@ -749,11 +577,11 @@ impl fmt::Display for CascadeReport {
         if !dropped.is_empty() {
             writeln!(f, "dropped stages: {}", dropped.join(", "))?;
         }
-        writeln!(
-            f,
-            "pairs {}  skipped by size index {}  replans {}  plan epochs {}",
-            self.pairs_seen, self.pairs_skipped, self.replans, self.plan_epochs
-        )?;
+        write!(f, "pairs {}  skipped by size index {}", self.pairs_seen, self.pairs_skipped)?;
+        match self.frozen_at {
+            Some(n) => writeln!(f, "  plan frozen at pair {n}")?,
+            None => writeln!(f)?,
+        }
         writeln!(
             f,
             "{:<16} {:>10} {:>8} {:>12} {:>12}  in plan",

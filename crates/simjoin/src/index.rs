@@ -6,7 +6,7 @@
 //! cross-product scan into per-question window lookups — the kind of
 //! engineering the paper's 73,057-query workload demands.
 
-use crate::cascade::{CascadeCursor, CascadeRuntime};
+use crate::cascade::CascadeRuntime;
 use crate::join::{join_pair, JoinMatch, JoinParams};
 use crate::obs::stage_handles;
 use crate::stats::JoinStats;
@@ -55,17 +55,14 @@ impl<'a> JoinIndex<'a> {
     /// sorted by `q_index`, the same order a full batch join visits them,
     /// so downstream template insertion is order-identical to a re-join.
     ///
-    /// The caller owns the [`GedEngine`], the cascade runtime and the
-    /// cursor: a streaming ingester keeps all three for its lifetime, so
-    /// it reuses one search workspace and the adaptive planner's
-    /// estimates accumulate across questions instead of restarting cold
-    /// on every arrival.
-    #[allow(clippy::too_many_arguments)] // streaming driver's full context
+    /// The caller owns the [`GedEngine`] and the cascade runtime: a
+    /// streaming ingester keeps both for its lifetime, so it reuses one
+    /// search workspace and an adaptive planner calibrates once, on the
+    /// first arrivals, instead of restarting cold on every question.
     pub fn join_one_in(
         &self,
         engine: &mut GedEngine,
         cascade: &CascadeRuntime,
-        cursor: &mut CascadeCursor,
         table: &SymbolTable,
         g_index: usize,
         g: &UncertainGraph,
@@ -73,7 +70,7 @@ impl<'a> JoinIndex<'a> {
     ) -> (Vec<JoinMatch>, JoinStats) {
         let mut out = Vec::new();
         let mut stats = JoinStats::default();
-        self.join_into(engine, cascade, cursor, table, g_index, g, params, &mut out, &mut stats);
+        self.join_into(engine, cascade, table, g_index, g, params, &mut out, &mut stats);
         stats.cascade = Some(cascade.report());
         (out, stats)
     }
@@ -87,7 +84,6 @@ impl<'a> JoinIndex<'a> {
         &self,
         engine: &mut GedEngine,
         cascade: &CascadeRuntime,
-        cursor: &mut CascadeCursor,
         table: &SymbolTable,
         g_index: usize,
         g: &UncertainGraph,
@@ -101,26 +97,14 @@ impl<'a> JoinIndex<'a> {
         let mut hits = 0u64;
         for qi in self.candidates(v, e, params.tau) {
             hits += 1;
-            join_pair(
-                engine,
-                cascade,
-                cursor,
-                table,
-                qi,
-                &self.d[qi],
-                g_index,
-                g,
-                params,
-                out,
-                stats,
-            );
+            join_pair(engine, cascade, table, qi, &self.d[qi], g_index, g, params, out, stats);
         }
         // Pairs outside the window fail the size bound by construction, so
         // they land in the same `pruned_size` bucket the in-window cascade
         // uses — indexed and all-pairs joins report identical stage counts
         // under the fixed cascade. The planner counts them as skipped, not
-        // seen: in-window pairs pass the size bound by construction, so it
-        // correctly learns the size stage is redundant here.
+        // seen: in-window pairs pass the size bound by construction, so
+        // calibration correctly finds the size stage redundant here.
         let skipped = self.d.len() as u64 - hits;
         stats.pairs_total += skipped;
         stats.record_pruned("size", skipped);

@@ -1,7 +1,7 @@
 //! The SimJ procedure (Algorithm 1) and its group-optimized variant
 //! (Algorithm 2).
 
-use crate::cascade::{CascadeCursor, CascadeOutcome, CascadePolicy, CascadeRuntime};
+use crate::cascade::{CascadeOutcome, CascadePolicy, CascadeRuntime};
 use crate::index::JoinIndex;
 use crate::obs::join_obs;
 use crate::stats::JoinStats;
@@ -42,7 +42,7 @@ pub struct JoinParams {
     /// two (see [`uqsj_sample::SimpPolicy`]).
     pub simp: SimpPolicy,
     /// How the filter stages are ordered and selected: the paper's fixed
-    /// cascade, the adaptive selectivity/cost planner, or a seeded
+    /// cascade, the calibrate-then-freeze selectivity/cost planner, or a seeded
     /// shuffle (see [`crate::cascade::CascadePolicy`]). Every choice
     /// yields the identical result pair set.
     pub cascade: CascadePolicy,
@@ -104,8 +104,8 @@ pub fn sim_join(
 }
 
 /// [`sim_join`] against a caller-owned cascade runtime, so several runs
-/// (or a streaming driver) can share one planner's accumulated
-/// estimates. The runtime must have been built with the same strategy as
+/// (or a streaming driver) share one planner: an adaptive runtime
+/// calibrates on the first run's pairs and keeps its frozen plan after. The runtime must have been built with the same strategy as
 /// `params.strategy`.
 ///
 /// Runs [`std::thread::available_parallelism`] workers (which respects
@@ -131,8 +131,7 @@ pub fn sim_join_in(
 /// Per-pair cost is heavily skewed — one many-world uncertain graph can
 /// dwarf the rest — so static chunking would serialize whole chunks
 /// behind it; with dynamic dispatch the tail is bounded by one graph.
-/// Each worker owns its [`GedEngine`] and [`CascadeCursor`]; all share
-/// `cascade`. Every graph's matches and counters are kept apart and
+/// Each worker owns its [`GedEngine`]; all share `cascade`. Every graph's matches and counters are kept apart and
 /// concatenated/merged in `g_index` order, so the match list, its order
 /// and (under the fixed cascade) every counter equal a one-worker run.
 /// One worker runs on the calling thread.
@@ -152,24 +151,13 @@ pub(crate) fn drive(
     let next = AtomicUsize::new(0);
     let work = || {
         let mut engine = GedEngine::new();
-        let mut cursor = CascadeCursor::new();
         let mut done = Vec::new();
         loop {
             let gi = next.fetch_add(1, Ordering::Relaxed);
             let Some(g) = u.get(gi) else { break };
             let mut out = Vec::new();
             let mut stats = JoinStats::default();
-            index.join_into(
-                &mut engine,
-                cascade,
-                &mut cursor,
-                table,
-                gi,
-                g,
-                params,
-                &mut out,
-                &mut stats,
-            );
+            index.join_into(&mut engine, cascade, table, gi, g, params, &mut out, &mut stats);
             done.push((gi, out, stats));
         }
         done
@@ -202,7 +190,6 @@ pub(crate) fn drive(
 pub(crate) fn join_pair(
     engine: &mut GedEngine,
     cascade: &CascadeRuntime,
-    cursor: &mut CascadeCursor,
     table: &SymbolTable,
     qi: usize,
     q: &Graph,
@@ -216,11 +203,11 @@ pub(crate) fn join_pair(
     let obs = join_obs();
     obs.pairs.inc();
 
-    // Filtering: run the pair through whatever plan the cascade runtime
-    // currently holds. Every stage is individually sound, so the plan
-    // only decides *cost*, never the result set.
+    // Filtering: run the pair through the cascade (calibrating or on its
+    // plan). Every stage is individually sound, so the plan only decides
+    // *cost*, never the result set.
     let pruning_started = Instant::now();
-    let outcome = cascade.run_pair(cursor, table, q, g, params.tau, params.alpha, stats);
+    let outcome = cascade.run_pair(table, q, g, params.tau, params.alpha, stats);
     stats.pruning_time += pruning_started.elapsed();
     let groups = match outcome {
         CascadeOutcome::Pruned => return,
@@ -379,10 +366,9 @@ mod tests {
             pairs
         };
         let fixed = collect(CascadePolicy::fixed());
-        // Tiny knobs so the adaptive planner calibrates and replans even
-        // on this four-pair workload.
-        let adaptive =
-            collect(CascadePolicy::adaptive().with_calibration_pairs(2).with_epoch_pairs(1));
+        // A two-pair calibration so the adaptive planner calibrates and
+        // then runs a frozen plan even on this small workload.
+        let adaptive = collect(CascadePolicy::adaptive().with_calibration_pairs(2));
         assert_eq!(fixed, adaptive, "plan choice must not change results");
         for seed in 0..8 {
             assert_eq!(

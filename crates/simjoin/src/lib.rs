@@ -23,7 +23,7 @@ pub mod parallel;
 pub mod stats;
 pub mod topk;
 
-pub use cascade::{CascadeCursor, CascadeMode, CascadePolicy, CascadeReport, CascadeRuntime};
+pub use cascade::{CascadeMode, CascadePolicy, CascadeReport, CascadeRuntime};
 pub use index::JoinIndex;
 pub use join::{sim_join, sim_join_in, JoinMatch, JoinParams, JoinStrategy};
 pub use parallel::sim_join_parallel;

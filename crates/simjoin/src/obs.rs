@@ -8,8 +8,7 @@
 //! so a serving process exposes its lifetime pruning profile without
 //! threading stats through every call site.
 
-use parking_lot::Mutex;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Stage-independent join counters plus the cascade-planner family.
 pub(crate) struct JoinObs {
@@ -19,18 +18,11 @@ pub(crate) struct JoinObs {
     /// Per-pair verification time (µs); counts every pair that survived
     /// all filters.
     pub t_verify: uqsj_obs::Histogram,
-    /// Pairs evaluated with every candidate stage to warm-start the
+    /// Pairs evaluated with every candidate stage to measure the
     /// adaptive planner's selectivity/cost estimates.
     pub cascade_calibration_pairs: uqsj_obs::Counter,
-    /// Probe pairs: post-calibration pairs re-evaluated with every
-    /// candidate stage so dropped stages keep fresh estimates.
-    pub cascade_probe_pairs: uqsj_obs::Counter,
-    /// Re-rank attempts (one per epoch boundary in adaptive mode).
-    pub cascade_replans: uqsj_obs::Counter,
-    /// Adopted plan changes (re-ranks that survived hysteresis).
-    pub cascade_plan_epochs: uqsj_obs::Counter,
-    /// Candidate stages left out of an adopted plan, summed over
-    /// adoptions (benefit-below-cost drops).
+    /// Candidate stages left out of a frozen adaptive plan, summed over
+    /// planners (benefit-below-cost drops).
     pub cascade_bounds_skipped: uqsj_obs::Counter,
 }
 
@@ -49,23 +41,11 @@ pub(crate) fn join_obs() -> &'static JoinObs {
             ),
             cascade_calibration_pairs: r.counter(
                 "uqsj_cascade_calibration_pairs_total",
-                "pairs evaluated with every stage to warm-start the planner",
-            ),
-            cascade_probe_pairs: r.counter(
-                "uqsj_cascade_probe_pairs_total",
-                "pairs re-evaluated with every stage to refresh dropped-stage estimates",
-            ),
-            cascade_replans: r.counter(
-                "uqsj_cascade_replans_total",
-                "cascade re-rank attempts (epoch boundaries)",
-            ),
-            cascade_plan_epochs: r.counter(
-                "uqsj_cascade_plan_epochs_total",
-                "adopted cascade plan changes (re-ranks surviving hysteresis)",
+                "pairs evaluated with every stage to calibrate the planner",
             ),
             cascade_bounds_skipped: r.counter(
                 "uqsj_cascade_bounds_skipped_total",
-                "candidate stages dropped from adopted plans (benefit below cost)",
+                "candidate stages dropped from frozen plans (benefit below cost)",
             ),
         }
     })
@@ -90,7 +70,7 @@ pub(crate) struct StageHandles {
 pub(crate) fn stage_handles(label: &'static str) -> StageHandles {
     static CACHE: OnceLock<Mutex<Vec<(&'static str, StageHandles)>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
-    let mut cache = cache.lock();
+    let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some((_, handles)) = cache.iter().find(|(l, _)| *l == label) {
         return handles.clone();
     }

@@ -9,7 +9,7 @@
 //! stop: once the k-th exact probability is at least the next upper
 //! bound, no unverified candidate can enter the top k.
 
-use crate::cascade::{CascadeCursor, CascadeOutcome, CascadePolicy, CascadeRuntime};
+use crate::cascade::{CascadeOutcome, CascadePolicy, CascadeRuntime};
 use crate::join::JoinStrategy;
 use crate::stats::JoinStats;
 use std::time::Instant;
@@ -79,13 +79,12 @@ pub fn sim_join_topk_with(
     // probabilistic stages; the per-pair prune counters land in a scratch
     // JoinStats the top-k report does not consume.
     let cascade = CascadeRuntime::new(policy, JoinStrategy::CssOnly);
-    let mut cursor = CascadeCursor::new();
     let mut scratch = JoinStats::default();
     for g in u {
         // Structural filter + upper-bound ranking.
         let mut candidates: Vec<(usize, f64)> = Vec::new();
         for (qi, q) in d.iter().enumerate() {
-            let outcome = cascade.run_pair(&mut cursor, table, q, g, tau, 0.0, &mut scratch);
+            let outcome = cascade.run_pair(table, q, g, tau, 0.0, &mut scratch);
             if matches!(outcome, CascadeOutcome::Candidate(_)) {
                 let terms = css_terms_uncertain(table, q, g);
                 let ub = ub_simp_with_terms(table, q, g, tau, &terms);
@@ -195,10 +194,7 @@ mod tests {
         for seed in 0..6 {
             assert_eq!(fixed, run(CascadePolicy::shuffled(seed)), "seed {seed}");
         }
-        assert_eq!(
-            fixed,
-            run(CascadePolicy::adaptive().with_calibration_pairs(1).with_epoch_pairs(1))
-        );
+        assert_eq!(fixed, run(CascadePolicy::adaptive().with_calibration_pairs(1)));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use uqsj_graph::{Graph, GraphBuilder, SymbolTable, UncertainGraph};
-use uqsj_simjoin::{sim_join, sim_join_parallel, JoinIndex, JoinMatch, JoinParams, JoinStats};
+use uqsj_simjoin::{
+    sim_join, sim_join_parallel, CascadePolicy, JoinIndex, JoinMatch, JoinParams, JoinStats,
+};
 
 const LABELS: [&str; 4] = ["Actor", "Band", "Film", "Country"];
 const PREDICATES: [&str; 3] = ["type", "starring", "memberOf"];
@@ -90,6 +92,42 @@ fn parallel_join_is_deterministic_and_equals_sequential() {
                     "tau={tau} workers={workers}: counters differ"
                 );
             }
+        }
+    }
+}
+
+/// The adaptive planner calibrates on exactly its first
+/// `calibration_pairs` pairs, ranks once and never changes its plan: a
+/// stage the ranking drops is never evaluated again (no probe ever
+/// re-measures it), so it reports exactly `k` evaluations, and the plan
+/// froze at pair `k`. The result set equals the fixed cascade's at one
+/// worker and at three.
+#[test]
+fn adaptive_plan_freezes_after_calibration() {
+    let mut rng = SmallRng::seed_from_u64(0xf2ee_u64);
+    let mut t = SymbolTable::new();
+    let d: Vec<Graph> = (0..40).map(|_| random_graph(&mut t, &mut rng)).collect();
+    let u: Vec<UncertainGraph> = (0..20).map(|_| random_uncertain(&mut t, &mut rng)).collect();
+    let k = 16u64;
+    let fixed = JoinParams::simj(1, 0.3);
+    let adaptive = fixed.with_cascade(CascadePolicy::adaptive().with_calibration_pairs(k));
+    let (want, _) = sim_join_parallel(&t, &d, &u, fixed, 1);
+    for workers in [1usize, 3] {
+        let (got, stats) = sim_join_parallel(&t, &d, &u, adaptive, workers);
+        assert_eq!(got, want, "workers={workers}: adaptive result differs from fixed");
+        let report = stats.cascade.expect("the driver stamps the report");
+        assert!(report.pairs_seen > k, "workload too small to leave calibration");
+        assert_eq!(report.frozen_at, Some(k), "workers={workers}");
+        let dropped: Vec<_> = report.stages.iter().filter(|s| !s.in_plan).collect();
+        // In-window pairs pass the size bound by construction, so the
+        // ranking always drops the size stage here.
+        assert!(dropped.iter().any(|s| s.label == "size"), "workers={workers}: {report}");
+        for st in dropped {
+            assert_eq!(
+                st.evaluated, k,
+                "workers={workers}: dropped stage {} evaluated after the freeze",
+                st.label
+            );
         }
     }
 }

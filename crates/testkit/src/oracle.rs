@@ -376,8 +376,8 @@ pub fn check_join_agreement(
     // the brute-force result set. Twelve seed-derived shuffled plans per
     // call (each a different order + drop mask over the full bound
     // registry and the probabilistic stages), plus one adaptive run with
-    // the planner's knobs shrunk so calibration, probing, and epoch
-    // re-planning all exercise on this small workload. Replay a failure
+    // a four-pair calibration so both the calibration pass and the frozen
+    // plan run on this small workload. Replay a failure
     // with `uqsj-cli conformance --seed <sub-seed> --pairs 1`.
     for k in 0..12u64 {
         let shuffle_seed = derive_seed(seed, 70 + k);
@@ -397,10 +397,7 @@ pub fn check_join_agreement(
             );
         }
     }
-    let adaptive = CascadePolicy::adaptive()
-        .with_calibration_pairs(4)
-        .with_epoch_pairs(8)
-        .with_probe_interval(4);
+    let adaptive = CascadePolicy::adaptive().with_calibration_pairs(4);
     let got = pair_set(&sim_join(table, d, u, params(JoinStrategy::SimJ).with_cascade(adaptive)).0);
     *report.join_runs.entry("adaptive_cascade").or_default() += 1;
     if got != want {
